@@ -7,6 +7,7 @@
 //! declarations and wrappers.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use yalla_cpp::ast::{
     AliasDecl, ClassDecl, Decl, DeclKind, EnumDecl, FunctionDecl, TranslationUnit, Type,
@@ -68,22 +69,39 @@ pub struct SymbolInfo {
 }
 
 /// A queryable symbol table for one translation unit.
+///
+/// A table built over a TU that shares a preamble snapshot's declarations
+/// is *layered*: the prefix's table is built once per snapshot (memoized
+/// on the shared [`yalla_cpp::ast::DeclPrefix`]) and shared as `base`;
+/// the TU's own declarations go into a copy-on-write overlay on top of
+/// it. Every query answers exactly as a table built over all the
+/// declarations in one pass would.
 #[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
+    /// The shared table of a preamble prefix (itself never layered).
+    base: Option<Arc<SymbolTable>>,
+    /// Symbols first declared above `base`, and `base` symbols whose entry
+    /// a later declaration updated (copied up, then updated).
     by_key: HashMap<String, SymbolInfo>,
-    /// Secondary index: unqualified name → keys (for unqualified lookup).
+    /// Secondary index: unqualified name → keys (for unqualified lookup);
+    /// over a base, only keys the base lacks, in declaration order.
     by_base: HashMap<String, Vec<String>>,
+    /// Number of `by_key` entries that are not in `base`.
+    added: usize,
 }
 
 impl SymbolTable {
     /// Builds the table from a translation unit.
     pub fn build(tu: &TranslationUnit) -> Self {
         let _span = yalla_obs::span("analysis", "symbol_table");
-        let mut table = SymbolTable::default();
-        let mut scope = Vec::new();
-        for d in &tu.decls {
-            table.add_decl(d, &mut scope, false);
-        }
+        let mut table = SymbolTable {
+            base: tu
+                .decls
+                .prefix()
+                .map(|prefix| prefix.memo(SymbolTable::flat)),
+            ..SymbolTable::default()
+        };
+        table.add_top_level(tu.decls.own());
         yalla_obs::count(
             yalla_obs::metrics::names::SYMBOLS_RESOLVED,
             table.len() as i64,
@@ -91,19 +109,44 @@ impl SymbolTable {
         table
     }
 
+    /// A single-layer table over `decls`.
+    fn flat(decls: &[Decl]) -> SymbolTable {
+        let mut table = SymbolTable::default();
+        table.add_top_level(decls);
+        table
+    }
+
+    fn add_top_level(&mut self, decls: &[Decl]) {
+        let mut scope = Vec::new();
+        for d in decls {
+            self.add_decl(d, &mut scope, false);
+        }
+    }
+
     /// Number of symbols.
     pub fn len(&self) -> usize {
-        self.by_key.len()
+        self.base.as_ref().map_or(0, |b| b.len()) + self.added
     }
 
     /// True when no symbols were recorded.
     pub fn is_empty(&self) -> bool {
-        self.by_key.is_empty()
+        self.len() == 0
     }
 
     /// Looks up a symbol by fully qualified key (no template args).
     pub fn get(&self, key: &str) -> Option<&SymbolInfo> {
-        self.by_key.get(key)
+        self.by_key
+            .get(key)
+            .or_else(|| self.base.as_ref()?.by_key.get(key))
+    }
+
+    /// Keys sharing the unqualified name `base_name`, in declaration order.
+    fn keys_named<'a>(&'a self, base_name: &str) -> impl Iterator<Item = &'a String> + 'a {
+        let below = self.base.as_ref().and_then(|b| b.by_base.get(base_name));
+        below
+            .into_iter()
+            .chain(self.by_base.get(base_name))
+            .flatten()
     }
 
     /// Resolves a possibly-unqualified name against the table: tries the
@@ -113,36 +156,35 @@ impl SymbolTable {
     /// exactly one candidate exists (mirroring what name lookup would do
     /// with the using-directives the corpus uses).
     pub fn resolve(&self, key: &str) -> Option<&SymbolInfo> {
-        if let Some(s) = self.by_key.get(key) {
+        if let Some(s) = self.get(key) {
             return Some(s);
         }
         let base = key.rsplit("::").next().unwrap_or(key);
-        match self.by_base.get(base) {
-            Some(keys) if !key.contains("::") => {
-                let mut found: Option<&SymbolInfo> = None;
-                for k in keys {
-                    if let Some(s) = self.by_key.get(k) {
-                        if found.is_some() {
-                            return None; // ambiguous
-                        }
-                        found = Some(s);
+        if !key.contains("::") {
+            let mut found: Option<&SymbolInfo> = None;
+            for k in self.keys_named(base) {
+                if let Some(s) = self.get(k) {
+                    if found.is_some() {
+                        return None; // ambiguous
                     }
+                    found = Some(s);
                 }
-                found
             }
-            // Qualified name with a suffix match (`View` looked up as
-            // `Kokkos::View` when the qualifier is a namespace alias):
-            Some(keys) => keys
-                .iter()
-                .filter_map(|k| self.by_key.get(k))
-                .find(|s| s.key.ends_with(key)),
-            None => None,
+            return found;
         }
+        // Qualified name with a suffix match (`View` looked up as
+        // `Kokkos::View` when the qualifier is a namespace alias):
+        self.keys_named(base)
+            .filter_map(|k| self.get(k))
+            .find(|s| s.key.ends_with(key))
     }
 
     /// Iterates over all symbols.
     pub fn iter(&self) -> impl Iterator<Item = &SymbolInfo> {
-        self.by_key.values()
+        let below = self.base.iter().flat_map(|b| b.by_key.values());
+        self.by_key
+            .values()
+            .chain(below.filter(|s| !self.by_key.contains_key(&s.key)))
     }
 
     fn add_decl(&mut self, decl: &Decl, scope: &mut Vec<String>, in_class: bool) {
@@ -257,6 +299,12 @@ impl SymbolTable {
         } else {
             format!("{}::{}", scope.join("::"), name)
         };
+        if !self.by_key.contains_key(&key) {
+            if let Some(below) = self.base.as_ref().and_then(|b| b.by_key.get(&key)) {
+                // Copy the base entry up before this declaration updates it.
+                self.by_key.insert(key.clone(), below.clone());
+            }
+        }
         if let Some(existing) = self.by_key.get_mut(&key) {
             existing.decl_count += 1;
             // A definition beats a forward declaration as the retained payload.
@@ -278,6 +326,7 @@ impl SymbolTable {
             .entry(name.to_string())
             .or_default()
             .push(key.clone());
+        self.added += 1;
         self.by_key.insert(
             key.clone(),
             SymbolInfo {

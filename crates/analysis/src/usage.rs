@@ -171,7 +171,9 @@ impl UsageReport {
             scopes: Vec::new(),
             namespace_ctx: Vec::new(),
         };
-        c.walk_decls(&tu.decls);
+        for d in &tu.decls {
+            c.walk_decl(d);
+        }
         let used = c.report.classes.len()
             + c.report.functions.len()
             + c.report.methods.len()

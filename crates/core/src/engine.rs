@@ -5,7 +5,7 @@
 //! a single cold [`crate::Session`] run, so the one-shot and incremental
 //! paths can never drift apart.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::time::Duration;
 
@@ -230,18 +230,18 @@ impl Engine {
     }
 }
 
-/// Files reachable from `root` in the include graph (including `root`).
+/// Files reachable from `root` in the include graph (including `root`),
+/// in O(V+E): the adjacency lists are built once, then walked.
 pub(crate) fn reachable_from(root: FileId, edges: &[(FileId, FileId)]) -> HashSet<FileId> {
+    let mut adjacent: HashMap<FileId, Vec<FileId>> = HashMap::new();
+    for &(from, to) in edges {
+        adjacent.entry(from).or_default().push(to);
+    }
     let mut reach: HashSet<FileId> = HashSet::new();
     let mut stack = vec![root];
     while let Some(f) = stack.pop() {
-        if !reach.insert(f) {
-            continue;
-        }
-        for (from, to) in edges {
-            if *from == f && !reach.contains(to) {
-                stack.push(*to);
-            }
+        if reach.insert(f) {
+            stack.extend(adjacent.get(&f).into_iter().flatten().copied());
         }
     }
     reach

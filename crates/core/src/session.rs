@@ -20,12 +20,17 @@
 //!
 //! | stage   | key                                                        |
 //! |---------|------------------------------------------------------------|
-//! | parse   | `(main path, defines)` validated against the include closure's content hashes ([`yalla_cpp::cache::ParseCache`]) |
-//! | analyze | closure hash + header + sources + `extra_symbols`          |
+//! | parse   | `(main path, defines)` validated against the include closure's content hashes ([`yalla_cpp::cache::ParseCache`]); on a miss, resumes from a preamble snapshot keyed on the main file's preamble bytes and validated against the preamble closure ([`yalla_cpp::preamble`]) |
+//! | analyze | closure hash + header + sources + `extra_symbols`; the symbol table of a resumed TU layers its own decls over the snapshot's memoized table |
 //! | plan    | usage fingerprint ([`crate::fingerprint`]) + pre-declare diagnostics |
 //! | emit    | plan key                                                   |
 //! | rewrite | per source: file hash + reachable source hashes + plan key |
-//! | verify  | closure hash + emitted artifacts + rewritten source hashes |
+//! | verify  | closure hash + emitted artifacts + rewritten source hashes; both TUs parse through the session's own memory-only parse cache, and the after-substitution stats come from the user-TU parse |
+//!
+//! A body edit therefore pays only for the edited file: the parse resumes
+//! after the unchanged include block, the symbol table reuses the
+//! header's, the wrappers TU is a whole-TU hit in verify's parse cache
+//! and the user TU resumes from its own preamble.
 //!
 //! Before building the DAG, a *warm pre-pass* walks the key chain with
 //! cheap hashing only ([`yalla_cpp::cache::ParseCache::probe`], then slot
@@ -72,7 +77,7 @@ use crate::persist;
 use crate::plan::{Diagnostic, DiagnosticKind, Plan};
 use crate::report::{Report, TuStats, Verification};
 use crate::rewrite::{rewrite_file, Transformer};
-use crate::verify::verify;
+use crate::verify::{verify_with, Substituted};
 
 /// The engine's pipeline stages, in dependency order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,6 +144,10 @@ pub struct SessionRun {
     /// rerun; with multiple `tu_roots`, every root whose include closure
     /// changed counts).
     pub files_reparsed: usize,
+    /// Of [`SessionRun::files_reparsed`], the TUs resumed from a preamble
+    /// snapshot (only the main file's code after its include block was
+    /// preprocessed and parsed).
+    pub files_resumed: usize,
     /// Source rewrites recomputed during this rerun.
     pub rewrites_recomputed: usize,
     /// Source rewrites served from cache.
@@ -176,8 +185,9 @@ impl SessionRun {
             out.push_str(&format!("{}={}", s.stage, s.lookup.label()));
         }
         out.push_str(&format!(
-            "  ({} reparsed, {} rewritten, {:.1} ms)",
+            "  ({} reparsed, {} resumed, {} rewritten, {:.1} ms)",
             self.files_reparsed,
+            self.files_resumed,
             self.rewrites_recomputed,
             self.result.timings.total().as_secs_f64() * 1e3,
         ));
@@ -392,6 +402,7 @@ struct RunLog {
     parse_longest: Duration,
     parse_misses: usize,
     parse_invalidated: bool,
+    files_resumed: usize,
     analyze: Option<(CacheLookup, Duration)>,
     plan: Option<(CacheLookup, Duration)>,
     emit: Option<(CacheLookup, Duration)>,
@@ -439,6 +450,9 @@ pub struct Session {
     emit: Arc<SharedSlot<EmitArtifact>>,
     rewrites: Arc<Mutex<HashMap<String, Slot<Arc<String>>>>>,
     verify: Arc<SharedSlot<VerifyArtifact>>,
+    /// Memory-only parse cache for the verify stage's user and wrappers
+    /// TUs.
+    verify_cache: Arc<ParseCache>,
     store: Option<Arc<Store>>,
     reruns: u64,
 }
@@ -464,6 +478,7 @@ impl Session {
             emit: Arc::new(Mutex::new(None)),
             rewrites: Arc::new(Mutex::new(HashMap::new())),
             verify: Arc::new(Mutex::new(None)),
+            verify_cache: Arc::new(ParseCache::with_store(None)),
             store,
             reruns: 0,
         }
@@ -487,6 +502,12 @@ impl Session {
     /// Number of completed reruns.
     pub fn reruns(&self) -> u64 {
         self.reruns
+    }
+
+    /// Modeled bytes resident in the session's parse caches (the parse
+    /// stage's and verify's; see [`ParseCache::resident_bytes`]).
+    pub fn cache_bytes(&self) -> u64 {
+        self.parse_cache.resident_bytes() + self.verify_cache.resident_bytes()
     }
 
     /// Applies an edit to the session's file tree (Figure 6 step ① of the
@@ -728,6 +749,7 @@ impl Session {
                             result,
                             stages,
                             files_reparsed: 0,
+                            files_resumed: 0,
                             rewrites_recomputed: 0,
                             rewrites_cached: opts.sources.len(),
                             parse_longest: Duration::ZERO,
@@ -785,6 +807,7 @@ impl Session {
                         let mut log = log.lock().expect("run log");
                         if !parsed.lookup.is_hit() {
                             log.files_reparsed += 1;
+                            log.files_resumed += usize::from(parsed.resumed);
                             log.parse_misses += 1;
                             log.parse_invalidated |= parsed.lookup == CacheLookup::Invalidated;
                         }
@@ -1017,7 +1040,7 @@ impl Session {
                     Arc::clone(&verify_cell),
                     Arc::clone(&log),
                 );
-                let cancel = cancel.clone();
+                let (cancel, verify_cache) = (cancel.clone(), Arc::clone(&self.verify_cache));
                 dag.node("verify", &verify_deps, move || {
                     if cancel.checkpoint() {
                         return Err(YallaError::Cancelled);
@@ -1039,7 +1062,14 @@ impl Session {
                     let key = verify_key_of(closure_hash, *plan_key, &opts, emit_art, &rewritten);
                     let span = yalla_obs::span("engine", "verify");
                     let (artifact, lookup) = refresh(&slot, key, || {
-                        Ok(stage_verify(&vfs, &rewritten, emit_art, &opts, &main))
+                        Ok(stage_verify(
+                            &verify_cache,
+                            &vfs,
+                            &rewritten,
+                            emit_art,
+                            &opts,
+                            &main,
+                        ))
                     })?;
                     let dur = span.finish();
                     note(Stage::Verify, lookup, true);
@@ -1218,6 +1248,7 @@ impl Session {
             result,
             stages,
             files_reparsed: log.files_reparsed,
+            files_resumed: log.files_resumed,
             rewrites_recomputed: log.rewrites_recomputed,
             rewrites_cached: log.rewrites_cached,
             parse_longest: log.parse_longest,
@@ -1364,9 +1395,12 @@ fn stage_rewrite_one(
     )
 }
 
-/// The verify stage: parses the substituted program, checks the
-/// incomplete-type rules, and gathers the after-substitution TU stats.
+/// The verify stage: parses the substituted program through the
+/// session's verify cache, checks the incomplete-type rules and the
+/// wrappers TU, and takes the after-substitution TU stats from the same
+/// user-TU parse.
 fn stage_verify(
+    cache: &ParseCache,
     vfs: &Vfs,
     rewritten: &BTreeMap<String, Arc<String>>,
     emit_art: &EmitArtifact,
@@ -1377,33 +1411,15 @@ fn stage_verify(
         .iter()
         .map(|(path, text)| (path.clone(), (**text).clone()))
         .collect();
-    let verification = if opts.verify {
-        verify(
-            vfs,
-            &owned,
-            &opts.lightweight_name,
-            &emit_art.lightweight,
-            &opts.wrappers_name,
-            &emit_art.wrappers,
-            main_source,
-        )
-    } else {
-        Verification::default()
+    let program = Substituted {
+        rewritten: &owned,
+        lightweight_name: &opts.lightweight_name,
+        lightweight: &emit_art.lightweight,
+        wrappers_name: &opts.wrappers_name,
+        wrappers: &emit_art.wrappers,
+        main_source,
     };
-    // After-stats: preprocess the substituted TU.
-    let mut after_vfs = vfs.clone();
-    for (path, text) in &owned {
-        after_vfs.add_file(path, text.clone());
-    }
-    after_vfs.add_file(&opts.lightweight_name, emit_art.lightweight.clone());
-    let fe = yalla_cpp::Frontend::new(after_vfs);
-    let after = fe
-        .parse_translation_unit(main_source)
-        .ok()
-        .map(|after| TuStats {
-            loc: after.stats.lines_compiled,
-            headers: after.stats.header_count(),
-        });
+    let (verification, after) = verify_with(cache, vfs, &program, opts.verify);
     VerifyArtifact {
         verification,
         after,

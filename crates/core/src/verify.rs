@@ -11,16 +11,21 @@
 //!    compiler's semantic analysis would reject),
 //! 3. parses the generated wrappers file against the *original* expensive
 //!    header (the wrapper compile of Figure 6 step ③).
+//!
+//! Both TUs go through a [`ParseCache`]. A [`crate::Session`] owns one
+//! for its whole life, so after a body edit the unchanged wrappers TU is
+//! a whole-TU hit ([`ParseCache::check`] keeps only its closure, not its
+//! AST) and the user TU resumes from its preamble snapshot; the user-TU
+//! parse also yields the report's after-substitution statistics.
 
 use std::collections::{BTreeMap, HashSet};
 
 use yalla_analysis::incomplete::check_incomplete_rules;
 use yalla_analysis::symbols::{SymbolKind, SymbolTable};
-use yalla_cpp::frontend::Frontend;
+use yalla_cpp::cache::ParseCache;
 use yalla_cpp::vfs::Vfs;
 
-use crate::plan::Plan;
-use crate::report::Verification;
+use crate::report::{TuStats, Verification};
 
 /// Runs the verification pass.
 ///
@@ -36,64 +41,96 @@ pub fn verify(
     wrappers: &str,
     main_source: &str,
 ) -> Verification {
-    let mut v = Verification::default();
-
-    // --- 1+2: the substituted user TU ----------------------------------
-    let mut user_vfs = original_vfs.clone();
-    for (path, text) in rewritten {
-        user_vfs.add_file(path, text.clone());
-    }
-    user_vfs.add_file(lightweight_name, lightweight);
-    let fe = Frontend::new(user_vfs);
-    match fe.parse_translation_unit(main_source) {
-        Ok(tu) => {
-            v.sources_parse = true;
-            // Forward-declared-only classes are the incomplete set.
-            let table = SymbolTable::build(&tu.ast);
-            let incomplete: HashSet<String> = table
-                .iter()
-                .filter_map(|s| match &s.kind {
-                    SymbolKind::Class(c) if !c.is_definition => Some(s.key.clone()),
-                    _ => None,
-                })
-                .collect();
-            v.violations = check_incomplete_rules(&tu.ast, &incomplete, &table);
-        }
-        Err(_) => {
-            v.sources_parse = false;
-        }
-    }
-
-    // --- 3: the wrappers TU against the real header ----------------------
-    let mut wrap_vfs = original_vfs.clone();
-    wrap_vfs.add_file(lightweight_name, lightweight);
-    wrap_vfs.add_file(wrappers_name, wrappers);
-    let fe = Frontend::new(wrap_vfs);
-    v.wrappers_parse = fe.parse_translation_unit(wrappers_name).is_ok();
-
-    v
+    let program = Substituted {
+        rewritten,
+        lightweight_name,
+        lightweight,
+        wrappers_name,
+        wrappers,
+        main_source,
+    };
+    verify_with(
+        &ParseCache::with_budget(None, None),
+        original_vfs,
+        &program,
+        true,
+    )
+    .0
 }
 
-/// Convenience: verify directly from a [`Plan`]'s artifacts (used by
-/// tests; the engine calls [`verify`]).
-pub fn verify_plan_artifacts(
+/// The substituted program a verification pass checks.
+pub(crate) struct Substituted<'a> {
+    pub rewritten: &'a BTreeMap<String, String>,
+    pub lightweight_name: &'a str,
+    pub lightweight: &'a str,
+    pub wrappers_name: &'a str,
+    pub wrappers: &'a str,
+    pub main_source: &'a str,
+}
+
+/// Parses the substituted user TU through `cache` and returns its stats;
+/// with `check`, also runs the full verification pass (incomplete-type
+/// rules, wrappers TU) and returns its verdict, else a default one.
+pub(crate) fn verify_with(
+    cache: &ParseCache,
     original_vfs: &Vfs,
-    plan: &Plan,
-    rewritten: &BTreeMap<String, String>,
-    header_name: &str,
-    main_source: &str,
-) -> Verification {
-    let lw = crate::emit::lightweight_header(plan, header_name);
-    let wf = crate::emit::wrappers_file(plan, header_name, crate::emit::LIGHTWEIGHT_HEADER_NAME);
-    verify(
-        original_vfs,
-        rewritten,
-        crate::emit::LIGHTWEIGHT_HEADER_NAME,
-        &lw,
-        crate::emit::WRAPPERS_FILE_NAME,
-        &wf,
-        main_source,
-    )
+    program: &Substituted<'_>,
+    check: bool,
+) -> (Verification, Option<TuStats>) {
+    let mut v = Verification::default();
+    // The two TUs are independent: the wrappers TU (the expensive header)
+    // is checked on a second thread while this one handles the user TU.
+    std::thread::scope(|scope| {
+        let wrappers = check.then(|| {
+            scope.spawn(|| {
+                // --- 3: the wrappers TU against the real header ----------
+                let mut wrap_vfs = original_vfs.clone();
+                wrap_vfs.add_file(program.lightweight_name, program.lightweight);
+                wrap_vfs.add_file(program.wrappers_name, program.wrappers);
+                let _span = yalla_obs::span("verify", "wrappers_tu");
+                cache.check(&wrap_vfs, &[], program.wrappers_name).is_ok()
+            })
+        });
+
+        // --- 1+2: the substituted user TU ------------------------------
+        let mut user_vfs = original_vfs.clone();
+        for (path, text) in program.rewritten {
+            user_vfs.add_file(path, text.clone());
+        }
+        user_vfs.add_file(program.lightweight_name, program.lightweight);
+        let user = {
+            let _span = yalla_obs::span("verify", "user_tu");
+            cache.parse(&user_vfs, &[], program.main_source)
+        };
+        let after = user.as_ref().ok().map(|p| TuStats {
+            loc: p.tu.stats.lines_compiled,
+            headers: p.tu.stats.header_count(),
+        });
+        let Some(wrappers) = wrappers else {
+            return (v, after);
+        };
+        match user {
+            Ok(parsed) => {
+                let _span = yalla_obs::span("verify", "incomplete_rules");
+                v.sources_parse = true;
+                // Forward-declared-only classes are the incomplete set.
+                let table = SymbolTable::build(&parsed.tu.ast);
+                let incomplete: HashSet<String> = table
+                    .iter()
+                    .filter_map(|s| match &s.kind {
+                        SymbolKind::Class(c) if !c.is_definition => Some(s.key.clone()),
+                        _ => None,
+                    })
+                    .collect();
+                v.violations = check_incomplete_rules(&parsed.tu.ast, &incomplete, &table);
+            }
+            Err(_) => {
+                v.sources_parse = false;
+            }
+        }
+        v.wrappers_parse = wrappers.join().expect("wrappers check thread");
+        (v, after)
+    })
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 //! Declarations: namespaces, classes, enums, aliases, functions, variables.
 
+use std::any::Any;
 use std::fmt;
+use std::sync::{Arc, Mutex};
 
 use crate::ast::expr::Expr;
 use crate::ast::name::QualName;
@@ -14,7 +16,7 @@ use crate::loc::Span;
 pub struct TranslationUnit {
     /// Top-level declarations in source order (after `#include` splicing,
     /// so declarations from headers appear before the user's own).
-    pub decls: Vec<Decl>,
+    pub decls: Decls,
 }
 
 impl TranslationUnit {
@@ -22,7 +24,7 @@ impl TranslationUnit {
     /// classes), depth-first in source order.
     pub fn walk(&self) -> Vec<&Decl> {
         let mut out = Vec::new();
-        fn rec<'a>(decls: &'a [Decl], out: &mut Vec<&'a Decl>) {
+        fn rec<'a>(decls: impl IntoIterator<Item = &'a Decl>, out: &mut Vec<&'a Decl>) {
             for d in decls {
                 out.push(d);
                 match &d.kind {
@@ -47,6 +49,162 @@ impl TranslationUnit {
         }
         rec(&self.decls, &mut out);
         out
+    }
+}
+
+/// The top-level declarations of a translation unit: an optional shared
+/// prefix (the declarations of a preamble snapshot, see
+/// [`crate::preamble`]) followed by the declarations this TU owns.
+///
+/// Reads like a slice — `iter`, `len`, indexing, `first`/`last` — so
+/// consumers never see the split (`Debug` prints the flat list too);
+/// only code that wants to reuse work done on the prefix asks for
+/// [`Decls::prefix`].
+#[derive(Clone, Default)]
+pub struct Decls {
+    prefix: Option<Arc<DeclPrefix>>,
+    own: Vec<Decl>,
+}
+
+impl Decls {
+    /// Declarations `prefix` followed by `own`.
+    pub fn with_prefix(prefix: Arc<DeclPrefix>, own: Vec<Decl>) -> Self {
+        Decls {
+            prefix: Some(prefix),
+            own,
+        }
+    }
+
+    /// The shared prefix, if this TU was resumed from (or recorded) a
+    /// preamble snapshot.
+    pub fn prefix(&self) -> Option<&Arc<DeclPrefix>> {
+        self.prefix.as_ref()
+    }
+
+    /// The declarations after the shared prefix (all of them when there is
+    /// no prefix).
+    pub fn own(&self) -> &[Decl] {
+        &self.own
+    }
+
+    fn shared(&self) -> &[Decl] {
+        self.prefix.as_deref().map_or(&[], DeclPrefix::decls)
+    }
+
+    /// Iterates over every declaration in source order.
+    pub fn iter(&self) -> std::iter::Chain<std::slice::Iter<'_, Decl>, std::slice::Iter<'_, Decl>> {
+        self.shared().iter().chain(self.own.iter())
+    }
+
+    /// Number of declarations.
+    pub fn len(&self) -> usize {
+        self.shared().len() + self.own.len()
+    }
+
+    /// True when there are no declarations.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The declaration at `index`, if any.
+    pub fn get(&self, index: usize) -> Option<&Decl> {
+        let shared = self.shared();
+        match index.checked_sub(shared.len()) {
+            None => shared.get(index),
+            Some(i) => self.own.get(i),
+        }
+    }
+
+    /// The first declaration.
+    pub fn first(&self) -> Option<&Decl> {
+        self.get(0)
+    }
+
+    /// The last declaration.
+    pub fn last(&self) -> Option<&Decl> {
+        self.own.last().or_else(|| self.shared().last())
+    }
+}
+
+impl fmt::Debug for Decls {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl From<Vec<Decl>> for Decls {
+    fn from(own: Vec<Decl>) -> Self {
+        Decls { prefix: None, own }
+    }
+}
+
+impl std::ops::Index<usize> for Decls {
+    type Output = Decl;
+
+    fn index(&self, index: usize) -> &Decl {
+        self.get(index).expect("declaration index out of range")
+    }
+}
+
+impl<'a> IntoIterator for &'a Decls {
+    type Item = &'a Decl;
+    type IntoIter = std::iter::Chain<std::slice::Iter<'a, Decl>, std::slice::Iter<'a, Decl>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// The declarations parsed from a preamble snapshot's tokens, shared by
+/// every TU resumed from that snapshot, plus one value derived from them
+/// (the prefix's symbol table), computed once per snapshot instead of
+/// once per edit.
+pub struct DeclPrefix {
+    decls: Vec<Decl>,
+    memo: Mutex<Option<Arc<dyn Any + Send + Sync>>>,
+}
+
+impl DeclPrefix {
+    /// A prefix holding `decls`.
+    pub fn new(decls: Vec<Decl>) -> Self {
+        DeclPrefix {
+            decls,
+            memo: Mutex::new(None),
+        }
+    }
+
+    /// The prefix declarations in source order.
+    pub fn decls(&self) -> &[Decl] {
+        &self.decls
+    }
+
+    /// The value of type `T` derived from these declarations, computing it
+    /// with `init` unless a `T` is already memoized. `init` must be a pure
+    /// function of the declarations: every later caller gets the first
+    /// result.
+    pub fn memo<T: Any + Send + Sync>(&self, init: impl FnOnce(&[Decl]) -> T) -> Arc<T> {
+        let mut memo = self.memo.lock().expect("prefix memo lock");
+        if let Some(found) = memo.clone().and_then(|m| m.downcast::<T>().ok()) {
+            return found;
+        }
+        let value = Arc::new(init(&self.decls));
+        *memo = Some(Arc::clone(&value) as Arc<dyn Any + Send + Sync>);
+        value
+    }
+
+    /// Drops the memoized value (callers holding it keep theirs). The
+    /// parse cache calls this on prefixes superseded by a newer snapshot,
+    /// so only the current one keeps its derived data resident.
+    pub fn forget_memo(&self) {
+        *self.memo.lock().expect("prefix memo lock") = None;
+    }
+}
+
+impl fmt::Debug for DeclPrefix {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DeclPrefix")
+            .field("decls", &self.decls.len())
+            .finish_non_exhaustive()
     }
 }
 
@@ -569,7 +727,9 @@ mod tests {
             }),
             Span::dummy(),
         );
-        let tu = TranslationUnit { decls: vec![ns] };
+        let tu = TranslationUnit {
+            decls: vec![ns].into(),
+        };
         let all = tu.walk();
         assert_eq!(all.len(), 2);
         assert_eq!(all[1].declared_name().map(Sym::as_str), Some("OpenMP"));

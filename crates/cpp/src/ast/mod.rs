@@ -18,9 +18,9 @@ mod types;
 pub mod visit;
 
 pub use decl::{
-    AccessSpecifier, AliasDecl, ClassDecl, ClassKey, Decl, DeclKind, EnumDecl, Enumerator,
-    FunctionDecl, FunctionName, FunctionSpecs, Member, NamespaceDecl, Param, TemplateHeader,
-    TemplateParam, TranslationUnit, VarDecl,
+    AccessSpecifier, AliasDecl, ClassDecl, ClassKey, Decl, DeclKind, DeclPrefix, Decls, EnumDecl,
+    Enumerator, FunctionDecl, FunctionName, FunctionSpecs, Member, NamespaceDecl, Param,
+    TemplateHeader, TemplateParam, TranslationUnit, VarDecl,
 };
 pub use expr::{BinaryOp, Expr, ExprKind, LambdaCapture, LambdaExpr, UnaryOp};
 pub use name::{NameSeg, QualName, TemplateArg};

@@ -325,7 +325,9 @@ mod tests {
             }),
             Span::dummy(),
         );
-        let tu = TranslationUnit { decls: vec![f] };
+        let tu = TranslationUnit {
+            decls: vec![f].into(),
+        };
         let mut c = Counter::default();
         walk_tu(&mut c, &tu);
         assert_eq!(c.decls, 1);

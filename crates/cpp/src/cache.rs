@@ -13,6 +13,13 @@
 //!   hash comparisons and one pointer clone — no preprocessing, no lexing,
 //!   no parsing.
 //!
+//! A whole-TU miss first tries the entries' [preamble snapshots]
+//! ([`crate::preamble`]): when the main file's leading directive block is
+//! byte-identical to a snapshot's and every file that block entered is
+//! unchanged, the parse resumes from the snapshot and only the main file's
+//! suffix is preprocessed and parsed. Versions resumed from one snapshot
+//! share its declarations, and the byte model counts the snapshot once.
+//!
 //! Every entry also carries a `closure_hash` content-addressing the whole
 //! input set (main path + defines + every dependency's hash). Downstream
 //! stages key *their* artifacts on it: if the closure hash is unchanged,
@@ -37,6 +44,8 @@ use yalla_store::{Store, NS_PARSE};
 use crate::error::Result;
 use crate::frontend::{Frontend, ParsedTu};
 use crate::hash::{self, Fnv64};
+use crate::pp::PpStats;
+use crate::preamble::{self, MainPreamble, Preamble};
 use crate::vfs::Vfs;
 
 /// Sentinel for "no explicit budget set — consult `YALLA_MEM_BUDGET`".
@@ -186,6 +195,9 @@ pub struct CachedParse {
     pub closure_hash: u64,
     /// How the lookup resolved.
     pub lookup: CacheLookup,
+    /// True when a miss was served by resuming from a preamble snapshot
+    /// (only the main file's suffix was preprocessed and parsed).
+    pub resumed: bool,
 }
 
 #[derive(Debug)]
@@ -194,9 +206,14 @@ struct Entry {
     /// file first.
     deps: Vec<(String, u64)>,
     closure_hash: u64,
-    tu: Arc<ParsedTu>,
-    /// Deterministic estimate of this entry's in-memory footprint
-    /// (see [`ParseCache::approx_entry_bytes`]).
+    /// The parsed TU; `None` for an entry recorded by
+    /// [`ParseCache::check`], which keeps only the closure.
+    tu: Option<Arc<ParsedTu>>,
+    /// The preamble snapshot this parse recorded or resumed from, shared
+    /// by every version resumed from it.
+    preamble: Option<Arc<Preamble>>,
+    /// Deterministic estimate of this entry's own in-memory footprint,
+    /// without its shared preamble (see [`ParseCache::approx_entry_bytes`]).
     bytes: u64,
     /// LRU clock tick of the last hit or insert; the eviction scan
     /// removes the minimum-stamp entry first.
@@ -400,13 +417,8 @@ impl ParseCache {
     /// Drops every entry.
     pub fn clear(&self) {
         let mut entries = self.entries.lock().expect("parse cache lock");
-        let freed: u64 = entries
-            .values()
-            .flat_map(|vs| vs.iter().map(|e| e.bytes))
-            .sum();
         entries.clear();
-        self.resident.fetch_sub(freed, Ordering::Relaxed);
-        sub_resident(freed);
+        self.set_resident(0);
     }
 
     /// Looks up `path` without parsing: returns the validated cached TU
@@ -424,57 +436,59 @@ impl ParseCache {
         self.lookup_and_repair(&key, vfs)
     }
 
-    /// The hit path plus disk-manifest repair: a memory hit whose
-    /// manifest is missing on disk (evicted, or a failed earlier write)
-    /// re-persists it, so disk warmth converges back toward memory
-    /// warmth.
+    /// The hit path of [`ParseCache::parse`] and [`ParseCache::probe`].
     fn lookup_and_repair(&self, key: &(String, u64), vfs: &Vfs) -> Option<CachedParse> {
-        let tick = self.clock.fetch_add(1, Ordering::Relaxed);
-        let (cached, deps) = {
-            let mut entries = self.entries.lock().expect("parse cache lock");
-            let cached = Self::lookup_valid(&mut entries, key, vfs, tick)?;
-            // lookup_valid promoted the hit to versions[0].
-            let deps = self.store.is_some().then(|| entries[key][0].deps.clone());
-            (cached, deps)
-        };
-        if let Some(deps) = deps {
-            self.persist_manifest(key, vfs.hash_of(&key.0), &deps, cached.closure_hash);
-        }
-        Some(cached)
+        let (tu, closure_hash) = self.lookup_valid(key, vfs, true)?;
+        Some(CachedParse {
+            tu: tu.expect("lookup_valid returns a TU when asked for one"),
+            closure_hash,
+            lookup: CacheLookup::Hit,
+            resumed: false,
+        })
     }
 
-    /// The shared hit path: finds a validated version for `key`, promotes
-    /// it to most-recently-used, and counts the hit.
+    /// The shared hit path: finds a validated version for `key` (one with
+    /// a TU when `need_tu`), promotes it to most-recently-used, and counts
+    /// the hit. A memory hit whose manifest is missing on disk (evicted,
+    /// or a failed earlier write) re-persists it, so disk warmth converges
+    /// back toward memory warmth.
     fn lookup_valid(
-        entries: &mut HashMap<(String, u64), Vec<Entry>>,
+        &self,
         key: &(String, u64),
         vfs: &Vfs,
-        tick: u64,
-    ) -> Option<CachedParse> {
-        let versions = entries.get_mut(key)?;
-        let valid = versions.iter().position(|entry| {
-            entry
-                .deps
-                .iter()
-                .all(|(dep, h)| vfs.hash_of(dep) == Some(*h))
-        })?;
-        // Most-recently-used first, so the history evicts the version
-        // least likely to come back.
-        let mut entry = versions.remove(valid);
-        entry.stamp = tick;
-        let cached = CachedParse {
-            tu: Arc::clone(&entry.tu),
-            closure_hash: entry.closure_hash,
-            lookup: CacheLookup::Hit,
+        need_tu: bool,
+    ) -> Option<(Option<Arc<ParsedTu>>, u64)> {
+        let tick = self.clock.fetch_add(1, Ordering::Relaxed);
+        let (tu, closure_hash, deps) = {
+            let mut entries = self.entries.lock().expect("parse cache lock");
+            let versions = entries.get_mut(key)?;
+            let valid = versions.iter().position(|entry| {
+                (entry.tu.is_some() || !need_tu)
+                    && entry
+                        .deps
+                        .iter()
+                        .all(|(dep, h)| vfs.hash_of(dep) == Some(*h))
+            })?;
+            // Most-recently-used first, so the history evicts the version
+            // least likely to come back.
+            let mut entry = versions.remove(valid);
+            entry.stamp = tick;
+            let (tu, closure_hash) = (entry.tu.clone(), entry.closure_hash);
+            let deps = self.store.is_some().then(|| entry.deps.clone());
+            versions.insert(0, entry);
+            (tu, closure_hash, deps)
         };
-        versions.insert(0, entry);
         yalla_obs::count(yalla_obs::metrics::names::CACHE_HITS, 1);
-        Some(cached)
+        if let Some(deps) = deps {
+            self.persist_manifest(key, vfs.hash_of(&key.0), &deps, closure_hash);
+        }
+        Some((tu, closure_hash))
     }
 
     /// Parses `path` against `vfs` with `defines`, reusing the cached TU
     /// when the whole include closure is byte-identical to the previous
-    /// parse.
+    /// parse, and resuming from a cached preamble snapshot when only the
+    /// main file's code after its leading directives changed.
     ///
     /// # Errors
     ///
@@ -489,11 +503,16 @@ impl ParseCache {
         if let Some(cached) = self.lookup_and_repair(&key, vfs) {
             return Ok(cached);
         }
-        let stale = self
-            .entries
-            .lock()
-            .expect("parse cache lock")
-            .contains_key(&key);
+        let (stale, snapshots) = {
+            let entries = self.entries.lock().expect("parse cache lock");
+            let versions = entries.get(&key);
+            let snapshots: Vec<Arc<Preamble>> = versions
+                .into_iter()
+                .flatten()
+                .filter_map(|e| e.preamble.clone())
+                .collect();
+            (versions.is_some(), snapshots)
+        };
         // Lock released: the parse itself runs unsynchronized, so cache
         // misses on different TUs overlap on the executor.
         yalla_obs::count(yalla_obs::metrics::names::CACHE_MISSES, 1);
@@ -501,17 +520,86 @@ impl ParseCache {
             yalla_obs::count(yalla_obs::metrics::names::CACHE_INVALIDATIONS, 1);
         }
 
+        let resumable = (!snapshots.is_empty())
+            .then(|| MainPreamble::scan(vfs, path))
+            .flatten()
+            .and_then(|main| {
+                let pre = snapshots.into_iter().find(|p| p.matches(&main, vfs))?;
+                Some((pre, main))
+            });
+        let (tu, preamble, resumed) = match resumable {
+            Some((pre, main)) => {
+                yalla_obs::count(yalla_obs::metrics::names::CACHE_PREAMBLE_HITS, 1);
+                (preamble::resume(vfs, &pre, &main)?, Some(pre), true)
+            }
+            None => {
+                yalla_obs::count(yalla_obs::metrics::names::CACHE_PREAMBLE_MISSES, 1);
+                let (tu, pre) = preamble::parse_recording(vfs, defines, path)?;
+                (tu, pre, false)
+            }
+        };
+        let tu = Arc::new(tu);
+        let closure_hash = self.record(
+            key,
+            vfs,
+            &tu.stats,
+            Some(Arc::clone(&tu)),
+            preamble,
+            resumed,
+        );
+        Ok(CachedParse {
+            tu,
+            closure_hash,
+            lookup: if stale {
+                CacheLookup::Invalidated
+            } else {
+                CacheLookup::Miss
+            },
+            resumed,
+        })
+    }
+
+    /// Checks that `path` parses against `vfs` with `defines` and returns
+    /// the closure hash, like [`ParseCache::parse`] minus the AST: a miss
+    /// parses the TU in full, then keeps only its dependency closure. For
+    /// a large TU that is checked but never read (verify's wrappers TU),
+    /// staying warm costs a few bytes per file instead of a whole AST.
+    ///
+    /// # Errors
+    ///
+    /// Propagates frontend errors (which are never cached).
+    pub fn check(&self, vfs: &Vfs, defines: &[(String, String)], path: &str) -> Result<u64> {
+        let key = (path.to_string(), hash::hash_defines(defines));
+        if let Some((_, closure_hash)) = self.lookup_valid(&key, vfs, false) {
+            return Ok(closure_hash);
+        }
+        yalla_obs::count(yalla_obs::metrics::names::CACHE_MISSES, 1);
         let mut fe = Frontend::new(vfs.clone());
         for (k, v) in defines {
             fe.define(k, v);
         }
-        let tu = Arc::new(fe.parse_translation_unit(path)?);
+        let stats = fe.parse_translation_unit(path)?.stats;
+        Ok(self.record(key, vfs, &stats, None, None, false))
+    }
 
-        let mut deps = Vec::with_capacity(tu.stats.files_entered.len());
+    /// Inserts a fresh parse of `key` (`tu` is `None` for a
+    /// [`ParseCache::check`]) as its most recent version, enforces the
+    /// byte budget, spills evicted manifests, and returns the closure
+    /// hash.
+    fn record(
+        &self,
+        key: (String, u64),
+        vfs: &Vfs,
+        stats: &PpStats,
+        tu: Option<Arc<ParsedTu>>,
+        preamble: Option<Arc<Preamble>>,
+        resumed: bool,
+    ) -> u64 {
+        let mut deps = Vec::with_capacity(stats.files_entered.len());
         let mut closure = Fnv64::new();
-        closure.write_str(path);
+        closure.write_str(&key.0);
         closure.write_u64(key.1);
-        for &file in &tu.stats.files_entered {
+        for &file in &stats.files_entered {
             let dep_path = vfs.path(file).to_string();
             let dep_hash = vfs.file_hash(file);
             closure.write_str(&dep_path);
@@ -519,41 +607,44 @@ impl ParseCache {
             deps.push((dep_path, dep_hash));
         }
         let closure_hash = closure.finish();
-        self.persist_manifest(&key, vfs.hash_of(path), &deps, closure_hash);
-        let bytes = Self::approx_entry_bytes(&tu, &deps);
+        self.persist_manifest(&key, vfs.hash_of(&key.0), &deps, closure_hash);
+        let lines = if tu.is_some() {
+            stats.lines_compiled
+        } else {
+            0
+        };
+        let bytes = Self::approx_entry_bytes(lines, preamble.as_deref(), &deps);
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let spilled = {
             let mut entries = self.entries.lock().expect("parse cache lock");
             let versions = entries.entry(key).or_default();
-            let mut freed: u64 = 0;
-            versions.retain(|e| {
-                let keep = e.closure_hash != closure_hash;
-                if !keep {
-                    freed += e.bytes;
+            versions.retain(|e| e.closure_hash != closure_hash);
+            if !resumed {
+                // A fresh snapshot supersedes the older versions' ones:
+                // they stay for edit-then-revert hits, but without the
+                // derived data (a symbol table) memoized on them.
+                for pre in versions.iter().filter_map(|e| e.preamble.as_ref()) {
+                    pre.forget_memo();
                 }
-                keep
-            });
+            }
             versions.insert(
                 0,
                 Entry {
                     deps,
                     closure_hash,
-                    tu: Arc::clone(&tu),
+                    tu,
+                    preamble,
                     bytes,
                     stamp,
                 },
             );
-            for e in versions.drain(VERSIONS_PER_KEY.min(versions.len())..) {
-                freed += e.bytes;
-            }
-            self.resident.fetch_add(bytes, Ordering::Relaxed);
-            self.resident.fetch_sub(freed, Ordering::Relaxed);
-            add_resident(bytes);
-            sub_resident(freed);
-            match self.effective_budget() {
-                Some(budget) => Self::enforce_budget(&mut entries, &self.resident, budget, stamp),
+            versions.truncate(VERSIONS_PER_KEY);
+            let spilled = match self.effective_budget() {
+                Some(budget) => Self::enforce_budget(&mut entries, budget, stamp),
                 None => Vec::new(),
-            }
+            };
+            self.set_resident(Self::model_bytes(&entries));
+            spilled
         };
         // Spill outside the map lock: each evicted entry's dependency
         // manifest is (re-)persisted to the store tier, so the record
@@ -568,42 +659,74 @@ impl ParseCache {
                 self.persist_manifest(&s.key, Some(s.root_hash), &s.deps, s.closure_hash);
             }
         }
-        Ok(CachedParse {
-            tu,
-            closure_hash,
-            lookup: if stale {
-                CacheLookup::Invalidated
-            } else {
-                CacheLookup::Miss
-            },
-        })
+        closure_hash
     }
 
-    /// Deterministic estimate of an entry's in-memory footprint: a
-    /// per-line constant for the retained AST/tokens plus the dep table.
-    /// It is a *model*, not an allocator measurement — what matters for
-    /// the budget is that it is stable across runs and monotone in TU
-    /// size, so eviction decisions (and the bench's peak-resident
-    /// numbers) are reproducible.
-    fn approx_entry_bytes(tu: &ParsedTu, deps: &[(String, u64)]) -> u64 {
-        let lines = tu.stats.lines_compiled as u64;
+    /// Deterministic estimate of an entry's own in-memory footprint: a
+    /// per-line constant for the retained AST/tokens plus the dep table,
+    /// leaving out the lines its shared preamble accounts for. It is a
+    /// *model*, not an allocator measurement — what matters for the
+    /// budget is that it is stable across runs and monotone in TU size,
+    /// so eviction decisions (and the bench's peak-resident numbers) are
+    /// reproducible.
+    fn approx_entry_bytes(
+        lines: usize,
+        preamble: Option<&Preamble>,
+        deps: &[(String, u64)],
+    ) -> u64 {
+        let shared = preamble.map_or(0, Preamble::lines);
+        let lines = lines.saturating_sub(shared) as u64;
         let dep_bytes: u64 = deps.iter().map(|(p, _)| p.len() as u64 + 24).sum();
         256 + lines * 160 + dep_bytes
+    }
+
+    /// The byte model of a preamble snapshot, counted once per cache
+    /// however many versions share it.
+    fn approx_preamble_bytes(pre: &Preamble) -> u64 {
+        let dep_bytes: u64 = pre.dep_paths().map(|p| p.len() as u64 + 24).sum();
+        256 + pre.lines() as u64 * 160 + dep_bytes
+    }
+
+    /// The byte model of everything in `entries`: each entry's own bytes
+    /// plus each distinct preamble snapshot once.
+    fn model_bytes(entries: &HashMap<(String, u64), Vec<Entry>>) -> u64 {
+        let mut seen: Vec<*const Preamble> = Vec::new();
+        let mut total = 0;
+        for e in entries.values().flatten() {
+            total += e.bytes;
+            if let Some(pre) = &e.preamble {
+                if !seen.contains(&Arc::as_ptr(pre)) {
+                    seen.push(Arc::as_ptr(pre));
+                    total += Self::approx_preamble_bytes(pre);
+                }
+            }
+        }
+        total
+    }
+
+    /// Sets this cache's resident estimate and moves the process-wide
+    /// gauge by the difference.
+    fn set_resident(&self, now: u64) {
+        let prev = self.resident.swap(now, Ordering::Relaxed);
+        if now >= prev {
+            add_resident(now - prev);
+        } else {
+            sub_resident(prev - now);
+        }
     }
 
     /// Evicts least-recently-used entries (never the one stamped
     /// `keep_stamp`, so the insert that triggered enforcement always
     /// survives — a cache smaller than one TU still makes progress)
-    /// until this cache's resident estimate fits `budget`. Returns the
-    /// spill manifests for the caller to persist after the lock drops.
+    /// until the cache's byte model fits `budget`. Returns the spill
+    /// manifests for the caller to persist after the lock drops.
     fn enforce_budget(
         entries: &mut HashMap<(String, u64), Vec<Entry>>,
-        resident: &AtomicU64,
         budget: u64,
         keep_stamp: u64,
     ) -> Vec<Spill> {
         let mut spilled = Vec::new();
-        while resident.load(Ordering::Relaxed) > budget {
+        while Self::model_bytes(entries) > budget {
             let victim = entries
                 .iter()
                 .flat_map(|(k, vs)| vs.iter().map(move |e| (e.stamp, k)))
@@ -622,8 +745,6 @@ impl ParseCache {
             if versions.is_empty() {
                 entries.remove(&key);
             }
-            resident.fetch_sub(e.bytes, Ordering::Relaxed);
-            sub_resident(e.bytes);
             spilled.push(Spill {
                 key,
                 root_hash: e.deps.first().map(|d| d.1).unwrap_or_default(),
@@ -941,6 +1062,40 @@ mod tests {
         assert!(bytes_resident() >= before + cache.resident_bytes());
         cache.clear();
         assert_eq!(cache.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn check_keeps_only_the_closure() {
+        let mut v = vfs();
+        let cache = ParseCache::new();
+        let closure = cache.check(&v, &[], "main.cpp").unwrap();
+        let parsed = ParseCache::new().parse(&v, &[], "main.cpp").unwrap();
+        assert_eq!(closure, parsed.closure_hash);
+        assert!(cache.probe(&v, &[], "main.cpp").is_none(), "no TU kept");
+        assert_eq!(cache.check(&v, &[], "main.cpp").unwrap(), closure);
+        // A parse of the same key still gets a TU, and a check then hits it.
+        assert!(!cache.parse(&v, &[], "main.cpp").unwrap().lookup.is_hit());
+        assert!(cache.probe(&v, &[], "main.cpp").is_some());
+        v.add_file("bad.cpp", "int f( {\n");
+        assert!(cache.check(&v, &[], "bad.cpp").is_err());
+    }
+
+    #[test]
+    fn resumed_versions_count_their_shared_preamble_once() {
+        let mut v = vfs();
+        let big: String = (0..200).map(|i| format!("int g{i};\n")).collect();
+        v.add_file("big.hpp", format!("#pragma once\n{big}"));
+        v.add_file("tu.cpp", "#include \"big.hpp\"\nint v0;\n");
+        let cache = ParseCache::new();
+        cache.parse(&v, &[], "tu.cpp").unwrap();
+        let one = cache.resident_bytes();
+        for i in 1..VERSIONS_PER_KEY {
+            v.apply_edit("tu.cpp", format!("#include \"big.hpp\"\nint v{i};\n"))
+                .unwrap();
+            assert!(cache.parse(&v, &[], "tu.cpp").unwrap().resumed);
+        }
+        let all = cache.resident_bytes();
+        assert!(all < 2 * one, "{VERSIONS_PER_KEY} versions: {one} -> {all}");
     }
 
     #[test]

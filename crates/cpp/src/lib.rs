@@ -47,6 +47,7 @@ pub mod lex;
 pub mod loc;
 pub mod parse;
 pub mod pp;
+pub mod preamble;
 pub mod pretty;
 pub mod vfs;
 

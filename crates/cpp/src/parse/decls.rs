@@ -939,16 +939,7 @@ mod tests {
     use crate::parse::parse_str;
 
     fn first(src: &str) -> Decl {
-        parse_str(src).unwrap().decls.remove(0)
-    }
-
-    trait Remove0 {
-        fn remove(self, i: usize) -> Decl;
-    }
-    impl Remove0 for Vec<Decl> {
-        fn remove(mut self, i: usize) -> Decl {
-            Vec::remove(&mut self, i)
-        }
+        parse_str(src).unwrap().decls[0].clone()
     }
 
     #[test]

@@ -18,7 +18,9 @@ mod exprs;
 mod stmts;
 mod types;
 
-use crate::ast::TranslationUnit;
+use std::cell::Cell;
+
+use crate::ast::{Decl, TranslationUnit};
 use crate::error::{CppError, Result};
 use crate::lex::{Punct, Token, TokenKind};
 use crate::loc::Span;
@@ -55,6 +57,21 @@ pub struct Parser {
     /// argument lists share one budget) — guards the recursive-descent
     /// stack against pathological inputs.
     depth: u32,
+    /// One past the highest token index the parser has examined. A
+    /// declaration parsed while this stayed at or below some index `b`
+    /// cannot depend on any token from `b` on, which is what lets a
+    /// preamble snapshot reuse it under a different suffix.
+    seen: Cell<usize>,
+}
+
+/// A top-level declaration boundary [`Parser::parse_split`] found at the
+/// requested token index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Split {
+    /// Number of declarations before the boundary.
+    pub(crate) decls: usize,
+    /// The lambda counter at the boundary (the first lambda id after it).
+    pub(crate) lambda_counter: u32,
 }
 
 /// Maximum combined nesting depth before the parser reports an error
@@ -74,16 +91,59 @@ impl Parser {
             pos: 0,
             lambda_counter: 0,
             depth: 0,
+            seen: Cell::new(0),
         }
+    }
+
+    /// A parser over `toks` whose lambda ids start at `lambda_counter` —
+    /// the state a parse of the tokens before `toks` would leave, so a
+    /// resumed suffix numbers its lambdas exactly as a full parse would.
+    pub(crate) fn resuming(toks: Vec<Token>, lambda_counter: u32) -> Self {
+        let mut p = Parser::new(toks);
+        p.lambda_counter = lambda_counter;
+        p
     }
 
     /// Parses until EOF.
     pub fn parse_translation_unit(&mut self) -> Result<TranslationUnit> {
+        let (decls, _) = self.parse_split(None)?;
+        Ok(TranslationUnit {
+            decls: decls.into(),
+        })
+    }
+
+    /// Parses top-level declarations until EOF and reports whether token
+    /// index `boundary` is a clean split point: a declaration ends exactly
+    /// there, at nesting depth 0, and no token at or after it was examined
+    /// while parsing the declarations before it. Only then are those
+    /// declarations a function of the tokens before `boundary` alone.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first syntax error encountered.
+    pub(crate) fn parse_split(
+        &mut self,
+        boundary: Option<usize>,
+    ) -> Result<(Vec<Decl>, Option<Split>)> {
         let mut decls = Vec::new();
-        while !self.at_eof() {
+        let mut split = None;
+        loop {
+            if split.is_none()
+                && boundary == Some(self.pos)
+                && self.depth == 0
+                && self.seen.get() <= self.pos
+            {
+                split = Some(Split {
+                    decls: decls.len(),
+                    lambda_counter: self.lambda_counter,
+                });
+            }
+            if self.at_eof() {
+                break;
+            }
             decls.push(self.parse_decl()?);
         }
-        Ok(TranslationUnit { decls })
+        Ok((decls, split))
     }
 
     // ----- cursor helpers -------------------------------------------------
@@ -92,16 +152,25 @@ impl Parser {
         matches!(self.peek().kind, TokenKind::Eof)
     }
 
+    /// The token at `index` (clamped to the final EOF), recorded as seen.
+    fn tok(&self, index: usize) -> &Token {
+        let index = index.min(self.toks.len() - 1);
+        if index >= self.seen.get() {
+            self.seen.set(index + 1);
+        }
+        &self.toks[index]
+    }
+
     pub(crate) fn peek(&self) -> &Token {
-        &self.toks[self.pos.min(self.toks.len() - 1)]
+        self.tok(self.pos)
     }
 
     pub(crate) fn peek_at(&self, n: usize) -> &Token {
-        &self.toks[(self.pos + n).min(self.toks.len() - 1)]
+        self.tok(self.pos + n)
     }
 
     pub(crate) fn bump(&mut self) -> Token {
-        let t = self.toks[self.pos.min(self.toks.len() - 1)].clone();
+        let t = self.tok(self.pos).clone();
         if self.pos < self.toks.len() - 1 {
             self.pos += 1;
         }
@@ -187,6 +256,9 @@ impl Parser {
     /// spacing — used for default arguments, enum values, and other
     /// payloads YALLA only needs verbatim.
     pub(crate) fn render_range(&self, from: usize, to: usize) -> String {
+        if to > self.seen.get() {
+            self.seen.set(to);
+        }
         let mut out = String::new();
         for (k, t) in self.toks[from..to.min(self.toks.len())].iter().enumerate() {
             if k > 0 && needs_space(&self.toks[from + k - 1].kind, &t.kind) {

@@ -41,6 +41,55 @@ pub struct Preprocessor<'v> {
     stats: PpStats,
     out: Vec<Token>,
     depth: usize,
+    /// Record a [`PpSnapshot`] at the main file's preamble boundary.
+    capture: bool,
+    snapshot: Option<PpSnapshot>,
+}
+
+/// The preprocessor's state at the end of the main file's preamble (its
+/// leading block of directives and comments): everything needed to
+/// continue preprocessing the main file from there as if the preamble had
+/// just been processed. Taken only when no `#if` is open at the boundary.
+#[derive(Debug, Clone)]
+pub(crate) struct PpSnapshot {
+    /// Byte offset in the main file where the preamble ends (the first
+    /// token that is not part of a directive).
+    pub offset: u32,
+    /// Number of tokens the preamble produced (all from headers).
+    pub tokens: usize,
+    /// Line of the last token the preamble produced, if any.
+    pub last_line: Option<u32>,
+    pub macros: MacroTable,
+    pub pragma_once: HashSet<FileId>,
+    /// Statistics so far; the main file's own lines are not in them yet.
+    pub stats: PpStats,
+    /// Distinct main-file lines the preamble delivered.
+    pub main_lines: usize,
+}
+
+/// Index of the first token of `tokens` (one lexed file) that is not part
+/// of a preprocessor directive: the end of the file's preamble. `None`
+/// when the file has no leading directive or nothing but directives.
+pub(crate) fn preamble_end(tokens: &[Token]) -> Option<usize> {
+    let mut i = 0;
+    let mut prev_line = 0u32;
+    while i < tokens.len() {
+        let tok = &tokens[i];
+        if matches!(tok.kind, TokenKind::Eof) {
+            return None;
+        }
+        let at_line_start = tok.line != prev_line;
+        if !(at_line_start && tok.kind.is_punct(Punct::Hash)) {
+            return (i > 0).then_some(i);
+        }
+        // Skip the directive's tokens (same logical line).
+        prev_line = tok.line;
+        i += 1;
+        while i < tokens.len() && tokens[i].line == prev_line {
+            i += 1;
+        }
+    }
+    None
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -63,6 +112,8 @@ impl<'v> Preprocessor<'v> {
             stats: PpStats::default(),
             out: Vec::new(),
             depth: 0,
+            capture: false,
+            snapshot: None,
         }
     }
 
@@ -77,7 +128,22 @@ impl<'v> Preprocessor<'v> {
     /// # Errors
     ///
     /// See [`preprocess`].
-    pub fn run(mut self, main_path: &str) -> Result<PpOutput> {
+    pub fn run(self, main_path: &str) -> Result<PpOutput> {
+        self.run_main(main_path, false).map(|(out, _)| out)
+    }
+
+    /// Like [`Preprocessor::run`], also returning the state at the end of
+    /// the main file's preamble when there is a clean one.
+    pub(crate) fn run_capturing(self, main_path: &str) -> Result<(PpOutput, Option<PpSnapshot>)> {
+        self.run_main(main_path, true)
+    }
+
+    fn run_main(
+        mut self,
+        main_path: &str,
+        capture: bool,
+    ) -> Result<(PpOutput, Option<PpSnapshot>)> {
+        self.capture = capture;
         let main = self
             .vfs
             .lookup(main_path)
@@ -85,30 +151,79 @@ impl<'v> Preprocessor<'v> {
                 path: main_path.into(),
             })?;
         self.process_file(main, true)?;
+        let snapshot = self.snapshot.take();
+        Ok((self.finish(main, None), snapshot))
+    }
+
+    /// Continues preprocessing `main` from a snapshot of its preamble:
+    /// `tokens` is the current lexed main file, whose tokens before
+    /// `start` are byte-identical to the snapshot's preamble. Only the
+    /// suffix is preprocessed; the output holds the suffix tokens and the
+    /// statistics of the whole TU, equal to a full run's.
+    pub(crate) fn resume(
+        vfs: &'v Vfs,
+        snap: &PpSnapshot,
+        main: FileId,
+        tokens: &[Token],
+        start: usize,
+    ) -> Result<PpOutput> {
+        let mut pp = Preprocessor {
+            vfs,
+            macros: snap.macros.clone(),
+            pragma_once: snap.pragma_once.clone(),
+            stats: snap.stats.clone(),
+            out: Vec::new(),
+            depth: 1,
+            capture: false,
+            snapshot: None,
+        };
+        let _file_span = yalla_obs::span("pp", vfs.path(main));
+        let lines = pp.scan(main, &tokens[start..], false)?;
+        pp.stats.add_lines(main, snap.main_lines + lines);
+        Ok(pp.finish(main, Some(snap)))
+    }
+
+    /// Counts the run's work (relative to `resumed_from`, whose share was
+    /// done by an earlier run) and appends the EOF token.
+    fn finish(mut self, main: FileId, resumed_from: Option<&PpSnapshot>) -> PpOutput {
         self.stats.macro_expansions = self.macros.expansions;
+        let work = |s: &PpStats, expansions: usize| {
+            [
+                s.files_entered.len(),
+                s.lines_compiled,
+                s.include_edges.len(),
+                expansions,
+            ]
+        };
+        let done = work(&self.stats, self.stats.macro_expansions);
+        let before = resumed_from.map_or([0; 4], |s| work(&s.stats, s.macros.expansions));
         {
             use yalla_obs::metrics::names;
-            yalla_obs::count(
+            let counters = [
                 names::FILES_PREPROCESSED,
-                self.stats.files_entered.len() as i64,
-            );
-            yalla_obs::count(names::LINES_PREPROCESSED, self.stats.lines_compiled as i64);
-            yalla_obs::count(
+                names::LINES_PREPROCESSED,
                 names::INCLUDES_RESOLVED,
-                self.stats.include_edges.len() as i64,
-            );
-            yalla_obs::count(names::MACRO_EXPANSIONS, self.stats.macro_expansions as i64);
+                names::MACRO_EXPANSIONS,
+            ];
+            for (name, (done, before)) in counters.into_iter().zip(done.into_iter().zip(before)) {
+                yalla_obs::count(name, (done - before) as i64);
+            }
         }
-        let last_line = self.out.last().map(|t| t.line).unwrap_or(1);
+        let last_line = self
+            .out
+            .last()
+            .map(|t| t.line)
+            .or(resumed_from.and_then(|s| s.last_line))
+            .unwrap_or(1);
         self.out.push(Token {
             kind: TokenKind::Eof,
             span: Span::new(main, 0, 0),
             line: last_line,
         });
-        Ok(PpOutput {
+        PpOutput {
             tokens: self.out,
             stats: self.stats,
-        })
+        }
     }
 
     fn process_file(&mut self, file: FileId, is_main: bool) -> Result<()> {
@@ -131,6 +246,19 @@ impl<'v> Preprocessor<'v> {
             let _lex_span = yalla_obs::span("pp", "lex");
             lex_file(file, self.vfs.text(file))?
         };
+        let capture = is_main && self.capture;
+        let lines = self.scan(file, &tokens, capture)?;
+        self.stats.add_lines(file, lines);
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Preprocesses one file's `tokens` (from the file's start, or from a
+    /// preamble boundary on resume) and returns how many distinct lines it
+    /// delivered. With `capture`, records a [`PpSnapshot`] at the
+    /// preamble boundary.
+    fn scan(&mut self, file: FileId, tokens: &[Token], capture: bool) -> Result<usize> {
+        let boundary = if capture { preamble_end(tokens) } else { None };
         let mut conds: Vec<CondFrame> = Vec::new();
         let mut pending: Vec<Token> = Vec::new();
         let mut counted_lines: HashSet<u32> = HashSet::new();
@@ -141,6 +269,17 @@ impl<'v> Preprocessor<'v> {
             let tok = &tokens[i];
             if matches!(tok.kind, TokenKind::Eof) {
                 break;
+            }
+            if boundary == Some(i) && conds.is_empty() {
+                self.snapshot = Some(PpSnapshot {
+                    offset: tok.span.start,
+                    tokens: self.out.len(),
+                    last_line: self.out.last().map(|t| t.line),
+                    macros: self.macros.clone(),
+                    pragma_once: self.pragma_once.clone(),
+                    stats: self.stats.clone(),
+                    main_lines: counted_lines.len(),
+                });
             }
             let at_line_start = tok.line != prev_line;
             prev_line = tok.line;
@@ -174,9 +313,7 @@ impl<'v> Preprocessor<'v> {
             i += 1;
         }
         self.flush(&mut pending);
-        self.stats.add_lines(file, counted_lines.len());
-        self.depth -= 1;
-        Ok(())
+        Ok(counted_lines.len())
     }
 
     fn flush(&mut self, pending: &mut Vec<Token>) {

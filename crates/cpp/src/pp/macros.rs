@@ -1,6 +1,7 @@
 //! Macro definitions and expansion.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use crate::lex::{lex_str, Punct, Token, TokenKind};
 use crate::loc::Span;
@@ -35,9 +36,13 @@ impl MacroDef {
 }
 
 /// The macro environment during preprocessing.
+///
+/// Clones share the definitions and copy them only on the first
+/// `#define`/`#undef` after the clone, so a preamble snapshot hands its
+/// macro table to every resumed parse for the price of a pointer bump.
 #[derive(Debug, Clone, Default)]
 pub struct MacroTable {
-    defs: HashMap<String, MacroDef>,
+    defs: Arc<HashMap<String, MacroDef>>,
     /// Number of expansions performed (work proxy for the cost model).
     pub expansions: usize,
 }
@@ -50,12 +55,14 @@ impl MacroTable {
 
     /// Defines (or redefines) a macro.
     pub fn define(&mut self, name: impl Into<String>, def: MacroDef) {
-        self.defs.insert(name.into(), def);
+        Arc::make_mut(&mut self.defs).insert(name.into(), def);
     }
 
     /// Removes a macro; succeeds silently when absent (like `#undef`).
     pub fn undef(&mut self, name: &str) {
-        self.defs.remove(name);
+        if self.defs.contains_key(name) {
+            Arc::make_mut(&mut self.defs).remove(name);
+        }
     }
 
     /// True if `name` is currently defined.

@@ -6,6 +6,7 @@
 //! text of every file and hands out [`FileId`]s.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::error::{CppError, Result};
 use crate::hash;
@@ -42,10 +43,15 @@ pub struct VfsFile {
 /// assert_eq!(vfs.file(id).lines, 1);
 /// assert!(vfs.lookup("include/lib/a.hpp").is_some());
 /// ```
+///
+/// Cloning is cheap: file contents and the path index are shared behind
+/// [`Arc`]s and copied only when a clone registers or replaces a file, so
+/// verification can stage generated files into a copy of a large header
+/// tree without duplicating the tree.
 #[derive(Debug, Clone, Default)]
 pub struct Vfs {
-    files: Vec<VfsFile>,
-    by_path: HashMap<String, FileId>,
+    files: Vec<Arc<VfsFile>>,
+    by_path: Arc<HashMap<String, FileId>>,
     search_paths: Vec<String>,
 }
 
@@ -77,22 +83,22 @@ impl Vfs {
         let lines = LineMap::new(&text).line_count();
         let hash = hash::hash_str(&text);
         if let Some(&id) = self.by_path.get(&norm) {
-            self.files[id.0 as usize] = VfsFile {
+            self.files[id.0 as usize] = Arc::new(VfsFile {
                 path: norm,
                 text,
                 lines,
                 hash,
-            };
+            });
             return id;
         }
         let id = FileId(self.files.len() as u32);
-        self.files.push(VfsFile {
+        self.files.push(Arc::new(VfsFile {
             path: norm.clone(),
             text,
             lines,
             hash,
-        });
-        self.by_path.insert(norm, id);
+        }));
+        Arc::make_mut(&mut self.by_path).insert(norm, id);
         id
     }
 
@@ -173,7 +179,7 @@ impl Vfs {
         self.files
             .iter()
             .enumerate()
-            .map(|(i, f)| (FileId(i as u32), f))
+            .map(|(i, f)| (FileId(i as u32), &**f))
     }
 
     /// Resolves an include name to a file id.

@@ -41,7 +41,8 @@ pub use oracle::{CaseOutcome, Divergence, ExecTrace, Sabotage};
 pub use race::{run_race_case, RaceCaseReport, RaceMismatch};
 pub use repro::{parse_fixture, render_fixture, Repro};
 pub use session_fuzz::{
-    edit_stream_seed, run_session_case, run_session_case_with_store, SessionCaseReport,
+    edit_stream, edit_stream_seed, run_session_case, run_session_case_with_store,
+    SessionCaseReport, StreamEdit,
 };
 pub use shrink::{shrink, Shrunk};
 

@@ -18,8 +18,9 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use yalla_core::{Engine, Session};
+use yalla_core::{Engine, Options, Session};
 use yalla_corpus::gen::DetRng;
+use yalla_cpp::vfs::Vfs;
 use yalla_store::Store;
 
 use crate::grammar::{ProjectModel, UserStmt, DRIVER_SOURCE, LIB_HEADER, MAIN_SOURCE};
@@ -75,6 +76,47 @@ pub fn edit_stream_seed(case_seed: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One edit of a session-fuzz stream.
+#[derive(Debug, Clone)]
+pub struct StreamEdit {
+    /// What the edit was.
+    pub description: String,
+    /// The edited file.
+    pub path: String,
+    /// The file's text after the edit.
+    pub text: String,
+    /// True when the edit rewrites the file with identical content.
+    pub touch: bool,
+}
+
+/// The edit stream of case `seed`, without running the engine: the
+/// generated project's initial file tree and options, and `edits` edits
+/// to apply to that tree in order. A pure function of `seed`, shared by
+/// [`run_session_case`] and by tests that replay the stream against the
+/// frontend alone.
+pub fn edit_stream(seed: u64, edits: usize) -> (Vfs, Options, Vec<StreamEdit>) {
+    let mut model = ProjectModel::generate(seed);
+    let (vfs, options) = model.render();
+    let mut current = vfs.clone();
+    let mut rng = DetRng::new(edit_stream_seed(seed));
+    let mut extra_lib_fns = 0usize;
+    let stream = (0..edits)
+        .map(|_| {
+            let kind = match rng.next(5) {
+                0 => EditKind::AppendUserStmt,
+                1 => EditKind::AppendLibFn,
+                2 => EditKind::TouchMain,
+                3 => EditKind::TouchDriver,
+                _ => EditKind::TweakDriver,
+            };
+            let edit = next_edit(&current, &mut model, kind, &mut rng, &mut extra_lib_fns);
+            current.add_file(&edit.path, edit.text.clone());
+            edit
+        })
+        .collect();
+    (vfs, options, stream)
+}
+
 /// Runs one session-fuzz case: `edits` random edits against the project
 /// generated from `seed`, checking warm-vs-cold equivalence after each.
 ///
@@ -109,34 +151,28 @@ pub fn run_session_case_with_store(
         }
         None => None,
     };
-    let mut model = ProjectModel::generate(seed);
-    let (vfs, options) = model.render();
+    let (vfs, options, stream) = edit_stream(seed, edits);
     let mut session = Session::with_store(options.clone(), vfs, store.clone());
     session.rerun().map_err(|e| format!("cold run: {e}"))?;
 
-    let mut rng = DetRng::new(edit_stream_seed(seed));
     let mut report = SessionCaseReport {
         edits: 0,
         edit_log: Vec::new(),
         mismatches: Vec::new(),
         touch_recomputes: 0,
     };
-    let mut extra_lib_fns = 0usize;
 
-    for step in 1..=edits {
-        let kind = match rng.next(5) {
-            0 => EditKind::AppendUserStmt,
-            1 => EditKind::AppendLibFn,
-            2 => EditKind::TouchMain,
-            3 => EditKind::TouchDriver,
-            _ => EditKind::TweakDriver,
-        };
-        let description = apply_edit(&mut session, &mut model, kind, &mut rng, &mut extra_lib_fns)?;
+    for (step, edit) in stream.into_iter().enumerate() {
+        let step = step + 1;
+        session
+            .apply_edit(&edit.path, edit.text)
+            .map_err(|e| e.to_string())?;
+        let description = edit.description;
         report.edits += 1;
         report.edit_log.push(description.clone());
 
         let warm = session.rerun().map_err(|e| format!("warm rerun: {e}"))?;
-        if matches!(kind, EditKind::TouchMain | EditKind::TouchDriver) && !warm.fully_cached() {
+        if edit.touch && !warm.fully_cached() {
             report.touch_recomputes += 1;
         }
         let cold = Engine::new(options.clone())
@@ -202,19 +238,26 @@ pub fn run_session_case_with_store(
     Ok(report)
 }
 
-fn apply_edit(
-    session: &mut Session,
+/// Draws the next edit of `kind` against the current tree `vfs`.
+fn next_edit(
+    vfs: &Vfs,
     model: &mut ProjectModel,
     kind: EditKind,
     rng: &mut DetRng,
     extra_lib_fns: &mut usize,
-) -> Result<String, String> {
-    let text_of = |session: &Session, path: &str| -> Result<String, String> {
-        let id = session
-            .vfs()
-            .lookup(path)
-            .ok_or_else(|| format!("no `{path}` in session"))?;
-        Ok(session.vfs().text(id).to_string())
+) -> StreamEdit {
+    let edit = |description: String, path: &str, text: String, touch: bool| StreamEdit {
+        description,
+        path: path.to_string(),
+        text,
+        touch,
+    };
+    let text_of = |path: &str| -> String {
+        vfs.text(
+            vfs.lookup(path)
+                .expect("generated projects have every file"),
+        )
+        .to_string()
     };
     match kind {
         EditKind::AppendUserStmt => {
@@ -233,10 +276,12 @@ fn apply_edit(
             let at = fun.stmts.len().saturating_sub(1);
             fun.stmts.insert(at, stmt);
             let index = fun.index;
-            session
-                .apply_edit(MAIN_SOURCE, model.render_main())
-                .map_err(|e| e.to_string())?;
-            Ok(format!("append statement to u{index}"))
+            edit(
+                format!("append statement to u{index}"),
+                MAIN_SOURCE,
+                model.render_main(),
+                false,
+            )
         }
         EditKind::AppendLibFn => {
             *extra_lib_fns += 1;
@@ -244,32 +289,34 @@ fn apply_edit(
                 name: format!("ffx{extra_lib_fns}"),
                 k: 1 + rng.next(9) as i64,
             });
-            session
-                .apply_edit(LIB_HEADER, model.render_lib())
-                .map_err(|e| e.to_string())?;
-            Ok(format!("add library function ffx{extra_lib_fns}"))
+            edit(
+                format!("add library function ffx{extra_lib_fns}"),
+                LIB_HEADER,
+                model.render_lib(),
+                false,
+            )
         }
-        EditKind::TouchMain => {
-            let same = text_of(session, MAIN_SOURCE)?;
-            session
-                .apply_edit(MAIN_SOURCE, same)
-                .map_err(|e| e.to_string())?;
-            Ok("touch main.cpp".to_string())
-        }
-        EditKind::TouchDriver => {
-            let same = text_of(session, DRIVER_SOURCE)?;
-            session
-                .apply_edit(DRIVER_SOURCE, same)
-                .map_err(|e| e.to_string())?;
-            Ok("touch driver.cpp".to_string())
-        }
+        EditKind::TouchMain => edit(
+            "touch main.cpp".to_string(),
+            MAIN_SOURCE,
+            text_of(MAIN_SOURCE),
+            true,
+        ),
+        EditKind::TouchDriver => edit(
+            "touch driver.cpp".to_string(),
+            DRIVER_SOURCE,
+            text_of(DRIVER_SOURCE),
+            true,
+        ),
         EditKind::TweakDriver => {
-            let mut text = text_of(session, DRIVER_SOURCE)?;
+            let mut text = text_of(DRIVER_SOURCE);
             text.push_str(&format!("// pad {}\n", rng.next(1_000_000)));
-            session
-                .apply_edit(DRIVER_SOURCE, text)
-                .map_err(|e| e.to_string())?;
-            Ok("append comment to driver.cpp".to_string())
+            edit(
+                "append comment to driver.cpp".to_string(),
+                DRIVER_SOURCE,
+                text,
+                false,
+            )
         }
     }
 }

@@ -48,6 +48,11 @@ pub mod names {
     /// Estimated bytes of parsed TUs currently resident in in-memory
     /// parse caches, process-wide (gauge).
     pub const CACHE_BYTES_RESIDENT: &str = "cache.bytes_resident";
+    /// Parse-cache misses served by resuming from a preamble snapshot:
+    /// only the main file's suffix was preprocessed and parsed.
+    pub const CACHE_PREAMBLE_HITS: &str = "cache.preamble.hits";
+    /// Parse-cache misses with no valid preamble snapshot, parsed in full.
+    pub const CACHE_PREAMBLE_MISSES: &str = "cache.preamble.misses";
     /// Session reruns executed (`Session::rerun`).
     pub const SESSION_RERUNS: &str = "session.reruns";
     /// Translation units actually re-parsed by session reruns (parse-stage
@@ -176,6 +181,8 @@ pub mod names {
             CACHE_INVALIDATIONS,
             CACHE_EVICTIONS,
             CACHE_BYTES_RESIDENT,
+            CACHE_PREAMBLE_HITS,
+            CACHE_PREAMBLE_MISSES,
             SESSION_RERUNS,
             SESSION_TUS_REPARSED,
             SIM_ITERATIONS,

@@ -328,7 +328,12 @@ impl Machine {
         self.load_decls(&tu_ast.decls, tu, &mut Vec::new());
     }
 
-    fn load_decls(&mut self, decls: &[Decl], tu: TuId, path: &mut Vec<String>) {
+    fn load_decls<'a>(
+        &mut self,
+        decls: impl IntoIterator<Item = &'a Decl>,
+        tu: TuId,
+        path: &mut Vec<String>,
+    ) {
         for d in decls {
             match &d.kind {
                 DeclKind::Namespace(ns) => {

@@ -330,3 +330,43 @@ proptest! {
         }
     }
 }
+
+#[test]
+fn body_edits_resume_the_preamble_and_share_its_bytes() {
+    let subject = yalla::corpus::all_subjects()
+        .into_iter()
+        .find(|s| s.name == "02")
+        .expect("subject 02");
+    let options = Options {
+        header: subject.header.clone(),
+        sources: subject.sources.clone(),
+        ..Options::default()
+    };
+    let mut session = Session::with_store(options, subject.vfs.clone(), None);
+    let cold = session.rerun().unwrap();
+    assert_eq!(cold.files_resumed, 0);
+    let cold_bytes = session.cache_bytes();
+    assert!(cold_bytes > 0);
+    for i in 0..3 {
+        append(
+            &mut session,
+            &subject.main_source,
+            &format!("// body edit {i}"),
+        );
+        let run = session.rerun().unwrap();
+        assert!(run.result.report.verification.passed());
+        assert_eq!(run.files_reparsed, 1);
+        assert_eq!(
+            run.files_resumed, 1,
+            "a body edit resumes after the include block"
+        );
+        assert!(run.summary_line().contains("1 reparsed, 1 resumed"));
+    }
+    // Four retained versions of the TU share one preamble snapshot, so
+    // the byte model does not grow with the version history.
+    let after = session.cache_bytes();
+    assert!(
+        after < 2 * cold_bytes,
+        "resident bytes grew {cold_bytes} -> {after} over 3 body edits"
+    );
+}
