@@ -25,12 +25,14 @@
 //! | plan    | usage fingerprint ([`crate::fingerprint`]) + pre-declare diagnostics |
 //! | emit    | plan key                                                   |
 //! | rewrite | per source: file hash + reachable source hashes + plan key |
-//! | verify  | closure hash + emitted artifacts + rewritten source hashes; both TUs parse through the session's own memory-only parse cache, and the after-substitution stats come from the user-TU parse |
+//! | verify  | closure hash + emitted artifacts + rewritten source hashes; both TUs parse through the session's own memory-only parse cache, and the after-substitution stats come from the user-TU parse; a wrappers-TU miss continues from the primary root's include snapshot of the header, validated against the header closure ([`yalla_cpp::preamble::IncludeSnapshot`]) |
 //!
 //! A body edit therefore pays only for the edited file: the parse resumes
 //! after the unchanged include block, the symbol table reuses the
 //! header's, the wrappers TU is a whole-TU hit in verify's parse cache
-//! and the user TU resumes from its own preamble.
+//! and the user TU resumes from its own preamble. A cold run or a header
+//! edit preprocesses and parses the header once: the wrappers TU checks
+//! only its own code after `#include <H>`.
 //!
 //! Before building the DAG, a *warm pre-pass* walks the key chain with
 //! cheap hashing only ([`yalla_cpp::cache::ParseCache::probe`], then slot
@@ -63,6 +65,7 @@ use yalla_analysis::usage::UsageReport;
 use yalla_cpp::cache::{CachedParse, ParseCache};
 use yalla_cpp::hash::{self, Fnv64};
 use yalla_cpp::loc::FileId;
+use yalla_cpp::preamble::IncludeSnapshot;
 use yalla_cpp::vfs::Vfs;
 use yalla_cpp::ParsedTu;
 use yalla_exec::{CancelToken, Dag, Executor, Priority};
@@ -75,9 +78,9 @@ use crate::engine::{Options, SubstitutionResult, Timings, YallaError};
 use crate::fingerprint::usage_fingerprint;
 use crate::persist;
 use crate::plan::{Diagnostic, DiagnosticKind, Plan};
-use crate::report::{Report, TuStats, Verification};
+use crate::report::{Report, TuStats};
 use crate::rewrite::{rewrite_file, Transformer};
-use crate::verify::{verify_with, Substituted};
+use crate::verify::{verify_with, Substituted, Verified};
 
 /// The engine's pipeline stages, in dependency order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,6 +155,9 @@ pub struct SessionRun {
     pub rewrites_recomputed: usize,
     /// Source rewrites served from cache.
     pub rewrites_cached: usize,
+    /// True when verify checked the wrappers TU this rerun from the
+    /// parse's include snapshot of the header instead of in full.
+    pub wrappers_resumed: bool,
     /// Longest single-root parse this rerun (zero when every root hit).
     /// With many `tu_roots` this is the parse stage's critical path: the
     /// floor any worker count must still pay, which the `mega` bench
@@ -185,10 +191,15 @@ impl SessionRun {
             out.push_str(&format!("{}={}", s.stage, s.lookup.label()));
         }
         out.push_str(&format!(
-            "  ({} reparsed, {} resumed, {} rewritten, {:.1} ms)",
+            "  ({} reparsed, {} resumed, {} rewritten, {}{:.1} ms)",
             self.files_reparsed,
             self.files_resumed,
             self.rewrites_recomputed,
+            if self.wrappers_resumed {
+                "wrappers resumed, "
+            } else {
+                ""
+            },
             self.result.timings.total().as_secs_f64() * 1e3,
         ));
         out
@@ -220,12 +231,6 @@ pub struct AnalysisArtifact {
 struct EmitArtifact {
     lightweight: String,
     wrappers: String,
-}
-
-#[derive(Debug, Clone)]
-struct VerifyArtifact {
-    verification: Verification,
-    after: Option<TuStats>,
 }
 
 #[derive(Debug)]
@@ -407,6 +412,7 @@ struct RunLog {
     plan: Option<(CacheLookup, Duration)>,
     emit: Option<(CacheLookup, Duration)>,
     verify: Option<(CacheLookup, Duration)>,
+    wrappers_resumed: bool,
     files_reparsed: usize,
     rewrites_recomputed: usize,
     rewrites_cached: usize,
@@ -449,7 +455,7 @@ pub struct Session {
     plan: Arc<SharedSlot<Plan>>,
     emit: Arc<SharedSlot<EmitArtifact>>,
     rewrites: Arc<Mutex<HashMap<String, Slot<Arc<String>>>>>,
-    verify: Arc<SharedSlot<VerifyArtifact>>,
+    verify: Arc<SharedSlot<Verified>>,
     /// Memory-only parse cache for the verify stage's user and wrappers
     /// TUs.
     verify_cache: Arc<ParseCache>,
@@ -621,7 +627,7 @@ impl Session {
         let analysis_cell: Arc<OnceLock<Arc<AnalysisArtifact>>> = Arc::new(OnceLock::new());
         let plan_cell: Arc<OnceLock<(Arc<Plan>, u64)>> = Arc::new(OnceLock::new());
         let emit_cell: Arc<OnceLock<Arc<EmitArtifact>>> = Arc::new(OnceLock::new());
-        let verify_cell: Arc<OnceLock<Arc<VerifyArtifact>>> = Arc::new(OnceLock::new());
+        let verify_cell: Arc<OnceLock<Arc<Verified>>> = Arc::new(OnceLock::new());
         let log = Arc::new(Mutex::new(RunLog::default()));
 
         // Cancel point: run entry. A rerun superseded before it starts
@@ -752,6 +758,7 @@ impl Session {
                             files_resumed: 0,
                             rewrites_recomputed: 0,
                             rewrites_cached: opts.sources.len(),
+                            wrappers_resumed: false,
                             parse_longest: Duration::ZERO,
                         });
                     }
@@ -1060,6 +1067,9 @@ impl Session {
                             .collect()
                     };
                     let key = verify_key_of(closure_hash, *plan_key, &opts, emit_art, &rewritten);
+                    // The primary root's parse includes the header first
+                    // thing, as the wrappers TU does.
+                    let includes = &parse_cells[0].get().expect("parse completed").includes;
                     let span = yalla_obs::span("engine", "verify");
                     let (artifact, lookup) = refresh(&slot, key, || {
                         Ok(stage_verify(
@@ -1069,6 +1079,7 @@ impl Session {
                             emit_art,
                             &opts,
                             &main,
+                            includes,
                         ))
                     })?;
                     let dur = span.finish();
@@ -1079,7 +1090,9 @@ impl Session {
                     } else {
                         dur
                     };
-                    log.lock().expect("run log").verify = Some((lookup, dur));
+                    let mut log = log.lock().expect("run log");
+                    log.verify = Some((lookup, dur));
+                    log.wrappers_resumed = !lookup.is_hit() && artifact.wrappers_resumed;
                     cell.set(artifact).expect("verify node runs once");
                     Ok(())
                 });
@@ -1251,6 +1264,7 @@ impl Session {
             files_resumed: log.files_resumed,
             rewrites_recomputed: log.rewrites_recomputed,
             rewrites_cached: log.rewrites_cached,
+            wrappers_resumed: log.wrappers_resumed,
             parse_longest: log.parse_longest,
         })
     }
@@ -1397,8 +1411,8 @@ fn stage_rewrite_one(
 
 /// The verify stage: parses the substituted program through the
 /// session's verify cache, checks the incomplete-type rules and the
-/// wrappers TU, and takes the after-substitution TU stats from the same
-/// user-TU parse.
+/// wrappers TU (from `includes` on, when one applies), and takes the
+/// after-substitution TU stats from the same user-TU parse.
 fn stage_verify(
     cache: &ParseCache,
     vfs: &Vfs,
@@ -1406,7 +1420,8 @@ fn stage_verify(
     emit_art: &EmitArtifact,
     opts: &Options,
     main_source: &str,
-) -> VerifyArtifact {
+    includes: &[IncludeSnapshot],
+) -> Verified {
     let owned: BTreeMap<String, String> = rewritten
         .iter()
         .map(|(path, text)| (path.clone(), (**text).clone()))
@@ -1419,9 +1434,5 @@ fn stage_verify(
         wrappers: &emit_art.wrappers,
         main_source,
     };
-    let (verification, after) = verify_with(cache, vfs, &program, opts.verify);
-    VerifyArtifact {
-        verification,
-        after,
-    }
+    verify_with(cache, vfs, &program, opts.verify, includes)
 }

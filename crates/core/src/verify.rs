@@ -16,13 +16,17 @@
 //! for its whole life, so after a body edit the unchanged wrappers TU is
 //! a whole-TU hit ([`ParseCache::check`] keeps only its closure, not its
 //! AST) and the user TU resumes from its preamble snapshot; the user-TU
-//! parse also yields the report's after-substitution statistics.
+//! parse also yields the report's after-substitution statistics. On a
+//! cold run or a header edit, the wrappers TU continues from the include
+//! snapshot the session's own parse took after the expensive header, so
+//! the header is preprocessed and parsed once per run, not twice.
 
 use std::collections::{BTreeMap, HashSet};
 
 use yalla_analysis::incomplete::check_incomplete_rules;
 use yalla_analysis::symbols::{SymbolKind, SymbolTable};
 use yalla_cpp::cache::ParseCache;
+use yalla_cpp::preamble::IncludeSnapshot;
 use yalla_cpp::vfs::Vfs;
 
 use crate::report::{TuStats, Verification};
@@ -54,8 +58,9 @@ pub fn verify(
         original_vfs,
         &program,
         true,
+        &[],
     )
-    .0
+    .verification
 }
 
 /// The substituted program a verification pass checks.
@@ -68,15 +73,29 @@ pub(crate) struct Substituted<'a> {
     pub main_source: &'a str,
 }
 
+/// What [`verify_with`] found; a session memoizes it as the verify
+/// stage's artifact.
+#[derive(Debug, Clone)]
+pub(crate) struct Verified {
+    pub verification: Verification,
+    /// Stats of the substituted user TU, when it parses.
+    pub after: Option<TuStats>,
+    /// True when the wrappers TU was checked from an include snapshot on.
+    pub wrappers_resumed: bool,
+}
+
 /// Parses the substituted user TU through `cache` and returns its stats;
 /// with `check`, also runs the full verification pass (incomplete-type
-/// rules, wrappers TU) and returns its verdict, else a default one.
+/// rules, wrappers TU) and returns its verdict, else a default one. The
+/// wrappers TU is checked from the first of `includes` (snapshots of the
+/// original TU's parse) that applies to it.
 pub(crate) fn verify_with(
     cache: &ParseCache,
     original_vfs: &Vfs,
     program: &Substituted<'_>,
     check: bool,
-) -> (Verification, Option<TuStats>) {
+    includes: &[IncludeSnapshot],
+) -> Verified {
     let mut v = Verification::default();
     // The two TUs are independent: the wrappers TU (the expensive header)
     // is checked on a second thread while this one handles the user TU.
@@ -88,7 +107,7 @@ pub(crate) fn verify_with(
                 wrap_vfs.add_file(program.lightweight_name, program.lightweight);
                 wrap_vfs.add_file(program.wrappers_name, program.wrappers);
                 let _span = yalla_obs::span("verify", "wrappers_tu");
-                cache.check(&wrap_vfs, &[], program.wrappers_name).is_ok()
+                cache.check(&wrap_vfs, &[], program.wrappers_name, includes)
             })
         });
 
@@ -107,7 +126,11 @@ pub(crate) fn verify_with(
             headers: p.tu.stats.header_count(),
         });
         let Some(wrappers) = wrappers else {
-            return (v, after);
+            return Verified {
+                verification: v,
+                after,
+                wrappers_resumed: false,
+            };
         };
         match user {
             Ok(parsed) => {
@@ -128,8 +151,13 @@ pub(crate) fn verify_with(
                 v.sources_parse = false;
             }
         }
-        v.wrappers_parse = wrappers.join().expect("wrappers check thread");
-        (v, after)
+        let wrappers = wrappers.join().expect("wrappers check thread");
+        v.wrappers_parse = wrappers.is_ok();
+        Verified {
+            verification: v,
+            after,
+            wrappers_resumed: wrappers.is_ok_and(|w| w.resumed),
+        }
     })
 }
 

@@ -20,6 +20,12 @@
 //! suffix is preprocessed and parsed. Versions resumed from one snapshot
 //! share its declarations, and the byte model counts the snapshot once.
 //!
+//! Every parse also hands out its [include snapshots]
+//! ([`crate::preamble::IncludeSnapshot`]), kept next to its preamble
+//! snapshot. [`ParseCache::check`] takes them explicitly: a TU that
+//! includes one of those headers in the same pristine context is checked
+//! from the snapshot on, without preprocessing or parsing the header.
+//!
 //! Every entry also carries a `closure_hash` content-addressing the whole
 //! input set (main path + defines + every dependency's hash). Downstream
 //! stages key *their* artifacts on it: if the closure hash is unchanged,
@@ -42,10 +48,10 @@ use yalla_store::module::{ModuleBuilder, ModuleReader, PartitionBuilder};
 use yalla_store::{Store, NS_PARSE};
 
 use crate::error::Result;
-use crate::frontend::{Frontend, ParsedTu};
+use crate::frontend::ParsedTu;
 use crate::hash::{self, Fnv64};
 use crate::pp::PpStats;
-use crate::preamble::{self, MainPreamble, Preamble};
+use crate::preamble::{self, IncludeSnapshot, IncludeSnapshots, MainPreamble, Preamble};
 use crate::vfs::Vfs;
 
 /// Sentinel for "no explicit budget set — consult `YALLA_MEM_BUDGET`".
@@ -198,6 +204,19 @@ pub struct CachedParse {
     /// True when a miss was served by resuming from a preamble snapshot
     /// (only the main file's suffix was preprocessed and parsed).
     pub resumed: bool,
+    /// The parse's include snapshots, for [`ParseCache::check`]s of other
+    /// TUs that include the same headers.
+    pub includes: IncludeSnapshots,
+}
+
+/// A validated (or freshly computed) [`ParseCache::check`].
+#[derive(Debug, Clone, Copy)]
+pub struct CheckedTu {
+    /// Content address of the TU's entire input set.
+    pub closure_hash: u64,
+    /// True when a miss was checked from an include snapshot on (the
+    /// snapshot's header was neither preprocessed nor parsed).
+    pub resumed: bool,
 }
 
 #[derive(Debug)]
@@ -212,12 +231,22 @@ struct Entry {
     /// The preamble snapshot this parse recorded or resumed from, shared
     /// by every version resumed from it.
     preamble: Option<Arc<Preamble>>,
+    /// The parse's include snapshots (empty for a check).
+    includes: IncludeSnapshots,
     /// Deterministic estimate of this entry's own in-memory footprint,
     /// without its shared preamble (see [`ParseCache::approx_entry_bytes`]).
     bytes: u64,
     /// LRU clock tick of the last hit or insert; the eviction scan
     /// removes the minimum-stamp entry first.
     stamp: u64,
+}
+
+/// What a parse keeps in its cache entry besides the closure: the TU and
+/// the snapshots it recorded or resumed from. A check keeps none of it.
+struct Kept {
+    tu: Arc<ParsedTu>,
+    preamble: Option<Arc<Preamble>>,
+    includes: IncludeSnapshots,
 }
 
 /// Parse versions retained per `(path, defines)` key. A small history
@@ -438,12 +467,13 @@ impl ParseCache {
 
     /// The hit path of [`ParseCache::parse`] and [`ParseCache::probe`].
     fn lookup_and_repair(&self, key: &(String, u64), vfs: &Vfs) -> Option<CachedParse> {
-        let (tu, closure_hash) = self.lookup_valid(key, vfs, true)?;
+        let (tu, closure_hash, includes) = self.lookup_valid(key, vfs, true)?;
         Some(CachedParse {
             tu: tu.expect("lookup_valid returns a TU when asked for one"),
             closure_hash,
             lookup: CacheLookup::Hit,
             resumed: false,
+            includes,
         })
     }
 
@@ -457,9 +487,9 @@ impl ParseCache {
         key: &(String, u64),
         vfs: &Vfs,
         need_tu: bool,
-    ) -> Option<(Option<Arc<ParsedTu>>, u64)> {
+    ) -> Option<(Option<Arc<ParsedTu>>, u64, IncludeSnapshots)> {
         let tick = self.clock.fetch_add(1, Ordering::Relaxed);
-        let (tu, closure_hash, deps) = {
+        let (tu, closure_hash, includes, deps) = {
             let mut entries = self.entries.lock().expect("parse cache lock");
             let versions = entries.get_mut(key)?;
             let valid = versions.iter().position(|entry| {
@@ -474,15 +504,16 @@ impl ParseCache {
             let mut entry = versions.remove(valid);
             entry.stamp = tick;
             let (tu, closure_hash) = (entry.tu.clone(), entry.closure_hash);
+            let includes = Arc::clone(&entry.includes);
             let deps = self.store.is_some().then(|| entry.deps.clone());
             versions.insert(0, entry);
-            (tu, closure_hash, deps)
+            (tu, closure_hash, includes, deps)
         };
         yalla_obs::count(yalla_obs::metrics::names::CACHE_HITS, 1);
         if let Some(deps) = deps {
             self.persist_manifest(key, vfs.hash_of(&key.0), &deps, closure_hash);
         }
-        Some((tu, closure_hash))
+        Some((tu, closure_hash, includes))
     }
 
     /// Parses `path` against `vfs` with `defines`, reusing the cached TU
@@ -527,26 +558,26 @@ impl ParseCache {
                 let pre = snapshots.into_iter().find(|p| p.matches(&main, vfs))?;
                 Some((pre, main))
             });
-        let (tu, preamble, resumed) = match resumable {
+        let (tu, preamble, includes, resumed) = match resumable {
             Some((pre, main)) => {
                 yalla_obs::count(yalla_obs::metrics::names::CACHE_PREAMBLE_HITS, 1);
-                (preamble::resume(vfs, &pre, &main)?, Some(pre), true)
+                let tu = preamble::resume(vfs, &pre, &main)?;
+                let includes = Arc::clone(&pre.includes);
+                (tu, Some(pre), includes, true)
             }
             None => {
                 yalla_obs::count(yalla_obs::metrics::names::CACHE_PREAMBLE_MISSES, 1);
-                let (tu, pre) = preamble::parse_recording(vfs, defines, path)?;
-                (tu, pre, false)
+                let (tu, pre, includes) = preamble::parse_recording(vfs, defines, path)?;
+                (tu, pre, includes, false)
             }
         };
         let tu = Arc::new(tu);
-        let closure_hash = self.record(
-            key,
-            vfs,
-            &tu.stats,
-            Some(Arc::clone(&tu)),
+        let kept = Kept {
+            tu: Arc::clone(&tu),
             preamble,
-            resumed,
-        );
+            includes: Arc::clone(&includes),
+        };
+        let closure_hash = self.record(key, vfs, &tu.stats, Some(kept), resumed);
         Ok(CachedParse {
             tu,
             closure_hash,
@@ -556,33 +587,55 @@ impl ParseCache {
                 CacheLookup::Miss
             },
             resumed,
+            includes,
         })
     }
 
     /// Checks that `path` parses against `vfs` with `defines` and returns
     /// the closure hash, like [`ParseCache::parse`] minus the AST: a miss
-    /// parses the TU in full, then keeps only its dependency closure. For
-    /// a large TU that is checked but never read (verify's wrappers TU),
-    /// staying warm costs a few bytes per file instead of a whole AST.
+    /// checks the TU, then keeps only its dependency closure. For a large
+    /// TU that is checked but never read (verify's wrappers TU), staying
+    /// warm costs a few bytes per file instead of a whole AST.
+    ///
+    /// A miss continues from the first of `includes` that applies at an
+    /// include point of `path` ([`crate::preamble::check`]), and checks
+    /// the TU in full when none does.
     ///
     /// # Errors
     ///
     /// Propagates frontend errors (which are never cached).
-    pub fn check(&self, vfs: &Vfs, defines: &[(String, String)], path: &str) -> Result<u64> {
+    pub fn check(
+        &self,
+        vfs: &Vfs,
+        defines: &[(String, String)],
+        path: &str,
+        includes: &[IncludeSnapshot],
+    ) -> Result<CheckedTu> {
         let key = (path.to_string(), hash::hash_defines(defines));
-        if let Some((_, closure_hash)) = self.lookup_valid(&key, vfs, false) {
-            return Ok(closure_hash);
+        if let Some((_, closure_hash, _)) = self.lookup_valid(&key, vfs, false) {
+            return Ok(CheckedTu {
+                closure_hash,
+                resumed: false,
+            });
         }
         yalla_obs::count(yalla_obs::metrics::names::CACHE_MISSES, 1);
-        let mut fe = Frontend::new(vfs.clone());
-        for (k, v) in defines {
-            fe.define(k, v);
-        }
-        let stats = fe.parse_translation_unit(path)?.stats;
-        Ok(self.record(key, vfs, &stats, None, None, false))
+        let (stats, resumed) = preamble::check(vfs, defines, path, includes)?;
+        yalla_obs::count(
+            if resumed {
+                yalla_obs::metrics::names::CACHE_INCLUDE_SNAPSHOT_HITS
+            } else {
+                yalla_obs::metrics::names::CACHE_INCLUDE_SNAPSHOT_MISSES
+            },
+            1,
+        );
+        let closure_hash = self.record(key, vfs, &stats, None, false);
+        Ok(CheckedTu {
+            closure_hash,
+            resumed,
+        })
     }
 
-    /// Inserts a fresh parse of `key` (`tu` is `None` for a
+    /// Inserts a fresh parse of `key` (`kept` is `None` for a
     /// [`ParseCache::check`]) as its most recent version, enforces the
     /// byte budget, spills evicted manifests, and returns the closure
     /// hash.
@@ -591,10 +644,13 @@ impl ParseCache {
         key: (String, u64),
         vfs: &Vfs,
         stats: &PpStats,
-        tu: Option<Arc<ParsedTu>>,
-        preamble: Option<Arc<Preamble>>,
+        kept: Option<Kept>,
         resumed: bool,
     ) -> u64 {
+        let (tu, preamble, includes) = match kept {
+            Some(k) => (Some(k.tu), k.preamble, k.includes),
+            None => (None, None, Vec::new().into()),
+        };
         let mut deps = Vec::with_capacity(stats.files_entered.len());
         let mut closure = Fnv64::new();
         closure.write_str(&key.0);
@@ -634,6 +690,7 @@ impl ParseCache {
                     closure_hash,
                     tu,
                     preamble,
+                    includes,
                     bytes,
                     stamp,
                 },
@@ -1068,16 +1125,19 @@ mod tests {
     fn check_keeps_only_the_closure() {
         let mut v = vfs();
         let cache = ParseCache::new();
-        let closure = cache.check(&v, &[], "main.cpp").unwrap();
+        let closure = cache.check(&v, &[], "main.cpp", &[]).unwrap().closure_hash;
         let parsed = ParseCache::new().parse(&v, &[], "main.cpp").unwrap();
         assert_eq!(closure, parsed.closure_hash);
         assert!(cache.probe(&v, &[], "main.cpp").is_none(), "no TU kept");
-        assert_eq!(cache.check(&v, &[], "main.cpp").unwrap(), closure);
+        assert_eq!(
+            cache.check(&v, &[], "main.cpp", &[]).unwrap().closure_hash,
+            closure
+        );
         // A parse of the same key still gets a TU, and a check then hits it.
         assert!(!cache.parse(&v, &[], "main.cpp").unwrap().lookup.is_hit());
         assert!(cache.probe(&v, &[], "main.cpp").is_some());
         v.add_file("bad.cpp", "int f( {\n");
-        assert!(cache.check(&v, &[], "bad.cpp").is_err());
+        assert!(cache.check(&v, &[], "bad.cpp", &[]).is_err());
     }
 
     #[test]

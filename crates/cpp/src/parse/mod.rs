@@ -64,10 +64,12 @@ pub struct Parser {
     seen: Cell<usize>,
 }
 
-/// A top-level declaration boundary [`Parser::parse_split`] found at the
+/// A top-level declaration boundary [`Parser::parse_split`] found at a
 /// requested token index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Split {
+    /// The token index.
+    pub(crate) at: usize,
     /// Number of declarations before the boundary.
     pub(crate) decls: usize,
     /// The lambda counter at the boundary (the first lambda id after it).
@@ -106,34 +108,29 @@ impl Parser {
 
     /// Parses until EOF.
     pub fn parse_translation_unit(&mut self) -> Result<TranslationUnit> {
-        let (decls, _) = self.parse_split(None)?;
+        let (decls, _) = self.parse_split(&[])?;
         Ok(TranslationUnit {
             decls: decls.into(),
         })
     }
 
-    /// Parses top-level declarations until EOF and reports whether token
-    /// index `boundary` is a clean split point: a declaration ends exactly
-    /// there, at nesting depth 0, and no token at or after it was examined
-    /// while parsing the declarations before it. Only then are those
-    /// declarations a function of the tokens before `boundary` alone.
+    /// Parses top-level declarations until EOF and reports which token
+    /// indices of `boundaries` are clean split points: a declaration ends
+    /// exactly there, at nesting depth 0, and no token at or after it was
+    /// examined while parsing the declarations before it. Only then are
+    /// those declarations a function of the tokens before the boundary
+    /// alone. Splits come in ascending token order.
     ///
     /// # Errors
     ///
     /// Returns the first syntax error encountered.
-    pub(crate) fn parse_split(
-        &mut self,
-        boundary: Option<usize>,
-    ) -> Result<(Vec<Decl>, Option<Split>)> {
+    pub(crate) fn parse_split(&mut self, boundaries: &[usize]) -> Result<(Vec<Decl>, Vec<Split>)> {
         let mut decls = Vec::new();
-        let mut split = None;
+        let mut splits = Vec::new();
         loop {
-            if split.is_none()
-                && boundary == Some(self.pos)
-                && self.depth == 0
-                && self.seen.get() <= self.pos
-            {
-                split = Some(Split {
+            if self.depth == 0 && self.seen.get() <= self.pos && boundaries.contains(&self.pos) {
+                splits.push(Split {
+                    at: self.pos,
                     decls: decls.len(),
                     lambda_counter: self.lambda_counter,
                 });
@@ -143,7 +140,7 @@ impl Parser {
             }
             decls.push(self.parse_decl()?);
         }
-        Ok((decls, split))
+        Ok((decls, splits))
     }
 
     // ----- cursor helpers -------------------------------------------------

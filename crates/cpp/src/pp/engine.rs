@@ -1,6 +1,8 @@
 //! The preprocessing engine: directives, include resolution, token output.
 
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use crate::error::{CppError, Result};
 use crate::lex::{lex_file, Punct, Token, TokenKind};
@@ -37,13 +39,34 @@ pub fn preprocess(vfs: &Vfs, main_path: &str) -> Result<PpOutput> {
 pub struct Preprocessor<'v> {
     vfs: &'v Vfs,
     macros: MacroTable,
-    pragma_once: HashSet<FileId>,
+    /// Files marked `#pragma once`, each with its rank in marking order.
+    pragma_once: HashMap<FileId, usize>,
     stats: PpStats,
     out: Vec<Token>,
     depth: usize,
-    /// Record a [`PpSnapshot`] at the main file's preamble boundary.
+    /// Record a [`PpSnapshot`] at the main file's preamble boundary and a
+    /// [`PpPoint`] at the exit of every file entered in a pristine context.
     capture: bool,
     snapshot: Option<PpSnapshot>,
+    points: Vec<PpPoint>,
+    /// With `capture`, what the points refer to.
+    log: PpLog,
+    /// Index of each name in `log.names`.
+    name_ids: HashMap<String, u32>,
+    /// True once a `#define` or `#undef` has run (predefined macros do
+    /// not count): from then on no context is pristine.
+    defined: bool,
+    /// Include points this run may splice in instead of entering their
+    /// file (see [`PpPoint::applies`]); emptied by the first splice.
+    offered: Vec<(&'v PpPoint, &'v PpLog)>,
+    /// Index into the offered points of the one spliced in, if any.
+    spliced: Option<usize>,
+    /// Work done by an earlier run whose state this one continues: files
+    /// entered, lines, include edges and macro expansions, left out of
+    /// this run's counters.
+    reused: [usize; 4],
+    /// Line of the last token before this run's first one.
+    reused_last_line: Option<u32>,
 }
 
 /// The preprocessor's state at the end of the main file's preamble (its
@@ -60,11 +83,119 @@ pub(crate) struct PpSnapshot {
     /// Line of the last token the preamble produced, if any.
     pub last_line: Option<u32>,
     pub macros: MacroTable,
-    pub pragma_once: HashSet<FileId>,
+    pub pragma_once: HashMap<FileId, usize>,
     /// Statistics so far; the main file's own lines are not in them yet.
     pub stats: PpStats,
     /// Distinct main-file lines the preamble delivered.
     pub main_lines: usize,
+    /// Number of include points recorded before the boundary.
+    pub points: usize,
+}
+
+/// A run's work for the counters: files entered, lines, include edges
+/// and macro expansions.
+fn work(s: &PpStats, expansions: usize) -> [usize; 4] {
+    [
+        s.files_entered.len(),
+        s.lines_compiled,
+        s.include_edges.len(),
+        expansions,
+    ]
+}
+
+/// What a recording run saw, in order. A [`PpPoint`] is a range of each
+/// list, so the points of one run, nested or not, share a single log.
+#[derive(Debug, Default)]
+pub(crate) struct PpLog {
+    /// Every file entry: the file, its content hash and the lines that
+    /// entry delivered.
+    entries: Vec<(FileId, u64, u32)>,
+    /// Every `#include` resolved, including those `#pragma once` skipped.
+    includes: Vec<Include>,
+    /// The distinct include names, as written.
+    names: Vec<Box<str>>,
+    /// Files in the order `#pragma once` marked them.
+    marks: Vec<FileId>,
+}
+
+/// One `#include` a run resolved: name `name` as written in `includer`,
+/// quoted or angled, resolved to `target`.
+#[derive(Debug, Clone, Copy)]
+struct Include {
+    includer: FileId,
+    name: u32,
+    quoted: bool,
+    target: FileId,
+}
+
+/// The preprocessor's state at the exit of a header `file` that was
+/// entered in a *pristine* context: no token output yet, no `#define` or
+/// `#undef` run, so the macro table held only the predefined macros.
+/// Another run that reaches an include of `file` in such a context can
+/// splice this in instead of entering the file ([`PpPoint::applies`]).
+/// What the subtree entered, included and marked are ranges of the
+/// recording run's [`PpLog`].
+#[derive(Debug, Clone)]
+pub(crate) struct PpPoint {
+    pub file: FileId,
+    /// Files open when `file` was entered.
+    depth: usize,
+    /// Tokens the subtree output: the token index in the recording run
+    /// where the subtree ends.
+    pub tokens: usize,
+    last_line: Option<u32>,
+    /// The macro table at the exit.
+    macros: MacroTable,
+    /// Macro expansions the subtree performed.
+    expansions: usize,
+    entries: Range<usize>,
+    includes: Range<usize>,
+    marks: Range<usize>,
+}
+
+impl PpPoint {
+    /// True when splicing this point in at an include of its file equals
+    /// entering the file, for a run in a pristine context with the same
+    /// predefined macros, `depth` files open and `pragma_once` marked:
+    ///
+    /// * every file the subtree entered has the same id and content;
+    /// * every include still resolves to the same file in `vfs`;
+    /// * no file the subtree tried to include is marked `#pragma once`
+    ///   (the recording run had none marked either);
+    /// * the subtree cannot hit the nesting limit it did not hit before.
+    fn applies(
+        &self,
+        log: &PpLog,
+        vfs: &Vfs,
+        depth: usize,
+        pragma_once: &HashMap<FileId, usize>,
+    ) -> bool {
+        depth <= self.depth
+            && !pragma_once.contains_key(&self.file)
+            && log.entries[self.entries.clone()]
+                .iter()
+                .all(|&(id, h, _)| (id.0 as usize) < vfs.len() && vfs.file_hash(id) == h)
+            && log.includes[self.includes.clone()].iter().all(|inc| {
+                !pragma_once.contains_key(&inc.target)
+                    && vfs
+                        .resolve_include(
+                            &log.names[inc.name as usize],
+                            Some(inc.includer),
+                            inc.quoted,
+                        )
+                        .is_ok_and(|t| t == inc.target)
+            })
+    }
+}
+
+/// Where a recording run's counters stood when it entered a pristine
+/// file.
+struct PointEntry {
+    depth: usize,
+    expansions: usize,
+    marks: usize,
+    entries: usize,
+    includes: usize,
 }
 
 /// Index of the first token of `tokens` (one lexed file) that is not part
@@ -108,12 +239,20 @@ impl<'v> Preprocessor<'v> {
         Preprocessor {
             vfs,
             macros: MacroTable::new(),
-            pragma_once: HashSet::new(),
+            pragma_once: HashMap::new(),
             stats: PpStats::default(),
             out: Vec::new(),
             depth: 0,
             capture: false,
             snapshot: None,
+            points: Vec::new(),
+            log: PpLog::default(),
+            name_ids: HashMap::new(),
+            defined: false,
+            offered: Vec::new(),
+            spliced: None,
+            reused: [0; 4],
+            reused_last_line: None,
         }
     }
 
@@ -129,21 +268,46 @@ impl<'v> Preprocessor<'v> {
     ///
     /// See [`preprocess`].
     pub fn run(self, main_path: &str) -> Result<PpOutput> {
-        self.run_main(main_path, false).map(|(out, _)| out)
+        self.run_main(main_path).map(|(out, _)| out)
     }
 
     /// Like [`Preprocessor::run`], also returning the state at the end of
-    /// the main file's preamble when there is a clean one.
-    pub(crate) fn run_capturing(self, main_path: &str) -> Result<(PpOutput, Option<PpSnapshot>)> {
-        self.run_main(main_path, true)
-    }
-
-    fn run_main(
+    /// the main file's preamble when there is a clean one, and a
+    /// [`PpPoint`] for every file entered in a pristine context, in exit
+    /// order, with the log they refer to.
+    pub(crate) fn run_capturing(
         mut self,
         main_path: &str,
-        capture: bool,
-    ) -> Result<(PpOutput, Option<PpSnapshot>)> {
-        self.capture = capture;
+    ) -> Result<(PpOutput, Option<PpSnapshot>, Vec<PpPoint>, PpLog)> {
+        self.capture = true;
+        let (out, mut pp) = self.run_main(main_path)?;
+        // The log lives as long as the parse's snapshots do.
+        pp.log.entries.shrink_to_fit();
+        pp.log.includes.shrink_to_fit();
+        pp.log.names.shrink_to_fit();
+        pp.log.marks.shrink_to_fit();
+        Ok((out, pp.snapshot, pp.points, pp.log))
+    }
+
+    /// Like [`Preprocessor::run`], splicing in the first of `offered`
+    /// that applies at an include of its file in a pristine context
+    /// ([`PpPoint::applies`]). The points must have been recorded under
+    /// this run's predefined macros. Returns the index of the point
+    /// spliced in, if any; the output then holds only the tokens after
+    /// it, and the statistics of the whole TU.
+    pub(crate) fn run_offering(
+        mut self,
+        main_path: &str,
+        offered: Vec<(&'v PpPoint, &'v PpLog)>,
+    ) -> Result<(PpOutput, Option<usize>)> {
+        self.offered = offered;
+        let (out, pp) = self.run_main(main_path)?;
+        Ok((out, pp.spliced))
+    }
+
+    /// Preprocesses `main_path`; returns the output and the spent
+    /// preprocessor (for what the run recorded).
+    fn run_main(mut self, main_path: &str) -> Result<(PpOutput, Self)> {
         let main = self
             .vfs
             .lookup(main_path)
@@ -151,8 +315,8 @@ impl<'v> Preprocessor<'v> {
                 path: main_path.into(),
             })?;
         self.process_file(main, true)?;
-        let snapshot = self.snapshot.take();
-        Ok((self.finish(main, None), snapshot))
+        let out = self.finish(main);
+        Ok((out, self))
     }
 
     /// Continues preprocessing `main` from a snapshot of its preamble:
@@ -167,36 +331,25 @@ impl<'v> Preprocessor<'v> {
         tokens: &[Token],
         start: usize,
     ) -> Result<PpOutput> {
-        let mut pp = Preprocessor {
-            vfs,
-            macros: snap.macros.clone(),
-            pragma_once: snap.pragma_once.clone(),
-            stats: snap.stats.clone(),
-            out: Vec::new(),
-            depth: 1,
-            capture: false,
-            snapshot: None,
-        };
+        let mut pp = Preprocessor::new(vfs);
+        pp.macros = snap.macros.clone();
+        pp.pragma_once = snap.pragma_once.clone();
+        pp.stats = snap.stats.clone();
+        pp.depth = 1;
+        pp.reused = work(&snap.stats, snap.macros.expansions);
+        pp.reused_last_line = snap.last_line;
         let _file_span = yalla_obs::span("pp", vfs.path(main));
         let lines = pp.scan(main, &tokens[start..], false)?;
         pp.stats.add_lines(main, snap.main_lines + lines);
-        Ok(pp.finish(main, Some(snap)))
+        Ok(pp.finish(main))
     }
 
-    /// Counts the run's work (relative to `resumed_from`, whose share was
-    /// done by an earlier run) and appends the EOF token.
-    fn finish(mut self, main: FileId, resumed_from: Option<&PpSnapshot>) -> PpOutput {
+    /// Counts the run's work (less the share [`Preprocessor::reused`]
+    /// from an earlier run) and appends the EOF token.
+    fn finish(&mut self, main: FileId) -> PpOutput {
         self.stats.macro_expansions = self.macros.expansions;
-        let work = |s: &PpStats, expansions: usize| {
-            [
-                s.files_entered.len(),
-                s.lines_compiled,
-                s.include_edges.len(),
-                expansions,
-            ]
-        };
         let done = work(&self.stats, self.stats.macro_expansions);
-        let before = resumed_from.map_or([0; 4], |s| work(&s.stats, s.macros.expansions));
+        let before = self.reused;
         {
             use yalla_obs::metrics::names;
             let counters = [
@@ -213,7 +366,7 @@ impl<'v> Preprocessor<'v> {
             .out
             .last()
             .map(|t| t.line)
-            .or(resumed_from.and_then(|s| s.last_line))
+            .or(self.reused_last_line)
             .unwrap_or(1);
         self.out.push(Token {
             kind: TokenKind::Eof,
@@ -221,13 +374,19 @@ impl<'v> Preprocessor<'v> {
             line: last_line,
         });
         PpOutput {
-            tokens: self.out,
-            stats: self.stats,
+            tokens: std::mem::take(&mut self.out),
+            stats: std::mem::take(&mut self.stats),
         }
     }
 
+    /// True when nothing so far can change what a file entered now means,
+    /// beyond the predefined macros and the `#pragma once` set.
+    fn pristine(&self) -> bool {
+        self.out.is_empty() && !self.defined && self.spliced.is_none()
+    }
+
     fn process_file(&mut self, file: FileId, is_main: bool) -> Result<()> {
-        if self.pragma_once.contains(&file) {
+        if self.pragma_once.contains_key(&file) {
             return Ok(());
         }
         if self.depth >= MAX_INCLUDE_DEPTH {
@@ -235,6 +394,19 @@ impl<'v> Preprocessor<'v> {
                 name: self.vfs.path(file).to_string(),
                 span: Span::new(file, 0, 0),
             });
+        }
+        // A recording run logs every entry, and records the exit state of a
+        // file entered in a pristine context (`record_point`).
+        let entry = (self.capture && !is_main && self.pristine()).then_some(PointEntry {
+            depth: self.depth,
+            expansions: self.macros.expansions,
+            marks: self.log.marks.len(),
+            entries: self.log.entries.len(),
+            includes: self.log.includes.len(),
+        });
+        let logged = self.log.entries.len();
+        if self.capture {
+            self.log.entries.push((file, self.vfs.file_hash(file), 0));
         }
         self.depth += 1;
         self.stats.enter_file(file, is_main);
@@ -250,7 +422,88 @@ impl<'v> Preprocessor<'v> {
         let lines = self.scan(file, &tokens, capture)?;
         self.stats.add_lines(file, lines);
         self.depth -= 1;
+        if self.capture {
+            self.log.entries[logged].2 = lines as u32;
+        }
+        if let Some(entry) = entry {
+            self.record_point(file, entry);
+        }
         Ok(())
+    }
+
+    /// Records the [`PpPoint`] of pristine `file` at its exit — unless
+    /// its subtree tried to include a file that was `#pragma once` at its
+    /// entry: skipped here, that file would be entered by a run without
+    /// the mark.
+    fn record_point(&mut self, file: FileId, entry: PointEntry) {
+        let includes = entry.includes..self.log.includes.len();
+        let marked_before = |inc: &Include| {
+            self.pragma_once
+                .get(&inc.target)
+                .is_some_and(|&rank| rank < entry.marks)
+        };
+        if self.log.includes[includes.clone()]
+            .iter()
+            .any(marked_before)
+        {
+            return;
+        }
+        self.points.push(PpPoint {
+            file,
+            depth: entry.depth,
+            tokens: self.out.len(),
+            last_line: self.out.last().map(|t| t.line),
+            macros: self.macros.clone(),
+            expansions: self.macros.expansions - entry.expansions,
+            entries: entry.entries..self.log.entries.len(),
+            includes,
+            marks: entry.marks..self.log.marks.len(),
+        });
+    }
+
+    /// Continues the run as if `point`'s file had just been entered and
+    /// left: its macros, `#pragma once` marks and statistics, none of its
+    /// tokens (the run is pristine, so they would come first).
+    fn splice(&mut self, index: usize) {
+        let (point, log) = self.offered[index];
+        let edges_before = self.stats.include_edges.len();
+        let (files_before, lines_before) =
+            (self.stats.files_entered.len(), self.stats.lines_compiled);
+        for &(file, _, lines) in &log.entries[point.entries.clone()] {
+            self.stats.enter_file(file, false);
+            self.stats.add_lines(file, lines as usize);
+        }
+        self.stats.include_edges.extend(
+            log.includes[point.includes.clone()]
+                .iter()
+                .map(|inc| (inc.includer, inc.target)),
+        );
+        for &file in &log.marks[point.marks.clone()] {
+            self.mark_once(file);
+        }
+        let expansions = self.macros.expansions + point.expansions;
+        self.macros = point.macros.clone();
+        self.macros.expansions = expansions;
+        self.reused = [
+            self.stats.files_entered.len() - files_before,
+            self.stats.lines_compiled - lines_before,
+            self.stats.include_edges.len() - edges_before,
+            point.expansions,
+        ];
+        self.reused_last_line = point.last_line;
+        self.spliced = Some(index);
+        self.offered.clear();
+    }
+
+    /// Marks `file` `#pragma once`.
+    fn mark_once(&mut self, file: FileId) {
+        let rank = self.pragma_once.len();
+        if let Entry::Vacant(slot) = self.pragma_once.entry(file) {
+            slot.insert(rank);
+            if self.capture {
+                self.log.marks.push(file);
+            }
+        }
     }
 
     /// Preprocesses one file's `tokens` (from the file's start, or from a
@@ -279,6 +532,7 @@ impl<'v> Preprocessor<'v> {
                     pragma_once: self.pragma_once.clone(),
                     stats: self.stats.clone(),
                     main_lines: counted_lines.len(),
+                    points: self.points.len(),
                 });
             }
             let at_line_start = tok.line != prev_line;
@@ -352,11 +606,13 @@ impl<'v> Preprocessor<'v> {
             }
             "define" => {
                 if active {
+                    self.defined = true;
                     self.handle_define(rest, hash_span)?;
                 }
             }
             "undef" => {
                 if active {
+                    self.defined = true;
                     if let Some(TokenKind::Ident(n)) = rest.first().map(|t| &t.kind) {
                         self.macros.undef(n);
                     }
@@ -423,7 +679,7 @@ impl<'v> Preprocessor<'v> {
             }
             "pragma" => {
                 if active && rest.first().is_some_and(|t| t.kind.is_ident("once")) {
-                    self.pragma_once.insert(file);
+                    self.mark_once(file);
                 }
             }
             "error" => {
@@ -485,6 +741,34 @@ impl<'v> Preprocessor<'v> {
                 span,
             })?;
         self.stats.include_edges.push((includer, target));
+        if self.capture {
+            let name_id = match self.name_ids.get(&name) {
+                Some(&id) => id,
+                None => {
+                    let id = self.log.names.len() as u32;
+                    self.log.names.push(name.as_str().into());
+                    self.name_ids.insert(name, id);
+                    id
+                }
+            };
+            self.log.includes.push(Include {
+                includer,
+                name: name_id,
+                quoted,
+                target,
+            });
+        }
+        if self.pristine() {
+            let (vfs, depth, once) = (self.vfs, self.depth, &self.pragma_once);
+            if let Some(i) = self
+                .offered
+                .iter()
+                .position(|(p, log)| p.file == target && p.applies(log, vfs, depth, once))
+            {
+                self.splice(i);
+                return Ok(());
+            }
+        }
         self.process_file(target, false)
     }
 

@@ -11,7 +11,7 @@ mod engine;
 mod macros;
 mod stats;
 
-pub(crate) use engine::{preamble_end, PpSnapshot};
+pub(crate) use engine::{preamble_end, PpLog, PpPoint, PpSnapshot};
 pub use engine::{preprocess, PpOutput, Preprocessor};
 pub use macros::{MacroDef, MacroTable};
 pub use stats::PpStats;

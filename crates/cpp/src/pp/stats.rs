@@ -45,12 +45,19 @@ impl PpStats {
 
     /// Records the first entry of `file` into the TU.
     pub(crate) fn enter_file(&mut self, file: FileId, is_main: bool) {
-        if !self.files_entered.contains(&file) {
+        if !self.entered(file) {
             self.files_entered.push(file);
         }
         if !is_main {
             self.headers.insert(file);
         }
+    }
+
+    /// True when `file` already entered. Every entered file is a header
+    /// except the first one, so this is a set lookup, not a scan of
+    /// [`PpStats::files_entered`].
+    fn entered(&self, file: FileId) -> bool {
+        self.headers.contains(&file) || self.files_entered.first() == Some(&file)
     }
 }
 

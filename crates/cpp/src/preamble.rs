@@ -28,6 +28,16 @@
 //! preamble's tokens do not parse as whole top-level declarations that
 //! never looked past the boundary (see `Parser::parse_split`); such TUs
 //! are always parsed in full.
+//!
+//! The same recording parse also takes an [`IncludeSnapshot`] at the exit
+//! of every header it entered in a *pristine* context — before any token
+//! was output and before any `#define` or `#undef` ran, so the header saw
+//! only the predefined macros. Another TU that includes the same header
+//! in such a context (verify's wrappers TU opens with `#include <H>`) can
+//! [`check`] only its own code after the include: what the header means
+//! depends on nothing that differs between the two include points. The
+//! snapshot holds no declarations, only what checking the rest of the TU
+//! needs.
 
 use std::sync::Arc;
 
@@ -38,8 +48,24 @@ use crate::hash;
 use crate::lex::{lex_file, Token};
 use crate::loc::FileId;
 use crate::parse::Parser;
-use crate::pp::{preamble_end, PpSnapshot, Preprocessor};
+use crate::pp::{preamble_end, PpLog, PpPoint, PpSnapshot, PpStats, Preprocessor};
 use crate::vfs::Vfs;
+
+/// The frontend state at the exit of a header a recording parse entered
+/// in a pristine context, whose tokens end a top-level declaration
+/// cleanly: the preprocessor's [`PpPoint`], the log it refers to (shared
+/// by every snapshot of the parse) and the lambda counter.
+#[derive(Debug)]
+pub struct IncludeSnapshot {
+    /// Hash of the predefined macros the header saw.
+    defines_hash: u64,
+    pp: PpPoint,
+    log: Arc<PpLog>,
+    lambda_counter: u32,
+}
+
+/// The include snapshots of one parse, in the order their headers exit.
+pub type IncludeSnapshots = Arc<[IncludeSnapshot]>;
 
 /// The frontend state at the end of a main file's preamble.
 #[derive(Debug)]
@@ -53,6 +79,9 @@ pub(crate) struct Preamble {
     /// `(id, path, content hash)` of every file the preamble entered,
     /// except the main file (its preamble bytes are checked instead).
     deps: Vec<(FileId, String, u64)>,
+    /// The include snapshots taken inside the preamble, valid wherever
+    /// the preamble is.
+    pub(crate) includes: IncludeSnapshots,
 }
 
 impl Preamble {
@@ -119,7 +148,9 @@ impl MainPreamble {
 /// Preprocesses and parses `path` in full — exactly what
 /// [`crate::Frontend::parse_translation_unit`] does — and, when the main
 /// file has a clean preamble, also returns its snapshot. The returned TU
-/// then already shares the snapshot's declarations.
+/// then already shares the snapshot's declarations. Also returns the
+/// parse's include snapshots: those inside the preamble when it has one,
+/// else all of them.
 ///
 /// # Errors
 ///
@@ -128,8 +159,8 @@ pub(crate) fn parse_recording(
     vfs: &Vfs,
     defines: &[(String, String)],
     path: &str,
-) -> Result<(ParsedTu, Option<Arc<Preamble>>)> {
-    let (out, snap) = {
+) -> Result<(ParsedTu, Option<Arc<Preamble>>, IncludeSnapshots)> {
+    let (out, snap, points, log) = {
         let _span = yalla_obs::span("frontend", "preprocess");
         let mut pp = Preprocessor::new(vfs);
         for (k, v) in defines {
@@ -137,21 +168,40 @@ pub(crate) fn parse_recording(
         }
         pp.run_capturing(path)?
     };
-    let (mut decls, split) = {
+    let mut boundaries: Vec<usize> = points.iter().map(|p| p.tokens).collect();
+    boundaries.extend(snap.as_ref().map(|s| s.tokens));
+    let (mut decls, splits) = {
         let _span = yalla_obs::span("frontend", "parse");
-        Parser::new(out.tokens).parse_split(snap.as_ref().map(|s| s.tokens))?
+        Parser::new(out.tokens).parse_split(&boundaries)?
     };
     yalla_obs::count(yalla_obs::metrics::names::AST_DECLS, decls.len() as i64);
+    let split_at = |at: usize| splits.iter().find(|s| s.at == at).copied();
     let stats = out.stats;
     let main = stats.files_entered[0];
     // A preamble that re-enters the main file read all of it, not just
     // the preamble bytes the snapshot would be keyed on.
     let snap = snap.filter(|pp| pp.stats.include_edges.iter().all(|&(_, to)| to != main));
-    let (Some(pp), Some(split)) = (snap, split) else {
+    let preamble = snap.and_then(|pp| Some((split_at(pp.tokens)?, pp)));
+    let in_preamble = preamble.as_ref().map_or(points.len(), |(_, pp)| pp.points);
+    let defines_hash = hash::hash_defines(defines);
+    let log = Arc::new(log);
+    let includes: IncludeSnapshots = points
+        .into_iter()
+        .take(in_preamble)
+        .filter_map(|pp| {
+            Some(IncludeSnapshot {
+                defines_hash,
+                lambda_counter: split_at(pp.tokens)?.lambda_counter,
+                pp,
+                log: Arc::clone(&log),
+            })
+        })
+        .collect();
+    let Some((split, pp)) = preamble else {
         let ast = TranslationUnit {
             decls: decls.into(),
         };
-        return Ok((ParsedTu { ast, stats }, None));
+        return Ok((ParsedTu { ast, stats }, None, includes));
     };
     let own = decls.split_off(split.decls);
     let prefix = Arc::new(DeclPrefix::new(decls));
@@ -170,11 +220,12 @@ pub(crate) fn parse_recording(
         decls: Arc::clone(&prefix),
         lambda_counter: split.lambda_counter,
         deps,
+        includes: Arc::clone(&includes),
     };
     let ast = TranslationUnit {
         decls: Decls::with_prefix(prefix, own),
     };
-    Ok((ParsedTu { ast, stats }, Some(Arc::new(preamble))))
+    Ok((ParsedTu { ast, stats }, Some(Arc::new(preamble)), includes))
 }
 
 /// Resumes a parse of `main`'s file from `pre`, which must
@@ -192,7 +243,7 @@ pub(crate) fn resume(vfs: &Vfs, pre: &Preamble, main: &MainPreamble) -> Result<P
     };
     let (own, _) = {
         let _span = yalla_obs::span("frontend", "parse");
-        Parser::resuming(out.tokens, pre.lambda_counter).parse_split(None)?
+        Parser::resuming(out.tokens, pre.lambda_counter).parse_split(&[])?
     };
     yalla_obs::count(yalla_obs::metrics::names::AST_DECLS, own.len() as i64);
     Ok(ParsedTu {
@@ -201,4 +252,200 @@ pub(crate) fn resume(vfs: &Vfs, pre: &Preamble, main: &MainPreamble) -> Result<P
         },
         stats: out.stats,
     })
+}
+
+/// Checks that `path` preprocesses and parses — the verdict of
+/// [`crate::Frontend::parse_translation_unit`] — and returns the TU's
+/// preprocessing statistics. When `path` includes the header of one of
+/// `includes` in a pristine context with the same predefined macros, and
+/// the snapshot still applies there (same closure contents, same include
+/// resolution, no conflicting `#pragma once` mark, no deeper nesting),
+/// the header is not preprocessed or parsed again: the run continues from
+/// the snapshot and only the rest of the TU is checked. Also returns
+/// whether that happened.
+///
+/// # Errors
+///
+/// Propagates preprocessing and parsing failures — the same errors a full
+/// parse would report.
+pub(crate) fn check(
+    vfs: &Vfs,
+    defines: &[(String, String)],
+    path: &str,
+    includes: &[IncludeSnapshot],
+) -> Result<(PpStats, bool)> {
+    let defines_hash = hash::hash_defines(defines);
+    let offered: Vec<&IncludeSnapshot> = includes
+        .iter()
+        .filter(|s| s.defines_hash == defines_hash)
+        .collect();
+    let (out, spliced) = {
+        let _span = yalla_obs::span("frontend", "preprocess");
+        let mut pp = Preprocessor::new(vfs);
+        for (k, v) in defines {
+            pp.define(k, v);
+        }
+        pp.run_offering(path, offered.iter().map(|s| (&s.pp, &*s.log)).collect())?
+    };
+    let lambda_counter = spliced.map_or(0, |i| offered[i].lambda_counter);
+    let (decls, _) = {
+        let _span = yalla_obs::span("frontend", "parse");
+        Parser::resuming(out.tokens, lambda_counter).parse_split(&[])?
+    };
+    yalla_obs::count(yalla_obs::metrics::names::AST_DECLS, decls.len() as i64);
+    Ok((out.stats, spliced.is_some()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frontend::Frontend;
+
+    fn vfs(files: &[(&str, &str)]) -> Vfs {
+        let mut vfs = Vfs::new();
+        for (path, text) in files {
+            vfs.add_file(path, *text);
+        }
+        vfs
+    }
+
+    /// Checks `path` through the include snapshots of a recording parse of
+    /// `main` and asserts the result equals the full frontend's, statistic
+    /// for statistic. Returns whether a snapshot was spliced in.
+    fn check_like_frontend(vfs: &Vfs, main: &str, path: &str) -> bool {
+        let (_, _, includes) = parse_recording(vfs, &[], main).unwrap();
+        let full = Frontend::new(vfs.clone()).parse_translation_unit(path);
+        let checked = check(vfs, &[], path, &includes);
+        let (stats, spliced) = match (checked, full) {
+            (Ok(checked), Ok(full)) => {
+                let (a, b) = (&checked.0, &full.stats);
+                assert_eq!(a.files_entered, b.files_entered);
+                assert_eq!(a.headers, b.headers);
+                assert_eq!(a.lines_compiled, b.lines_compiled);
+                assert_eq!(a.lines_per_file, b.lines_per_file);
+                assert_eq!(a.include_edges, b.include_edges);
+                assert_eq!(a.macro_expansions, b.macro_expansions);
+                checked
+            }
+            (Err(_), Err(_)) => return false,
+            (checked, full) => panic!("verdicts differ: {checked:?} vs {:?}", full.map(|_| ())),
+        };
+        let _ = stats;
+        spliced
+    }
+
+    const CORE: &str = "#pragma once\n#include <impl.hpp>\n#define TWICE(x) ((x) + (x))\nnamespace k { inline int f() { auto l = [](int v) { return TWICE(v); }; return l(1); } }\n";
+    const IMPL: &str = "#pragma once\nnamespace k { namespace impl { struct S { int a; }; } }\n";
+
+    #[test]
+    fn a_nested_header_is_spliced_into_a_tu_that_includes_it_first() {
+        // kernel.cpp -> functor.hpp (#pragma once) -> core.hpp -> impl.hpp
+        let v = vfs(&[
+            ("core.hpp", CORE),
+            ("impl.hpp", IMPL),
+            ("functor.hpp", "#pragma once\n#include <core.hpp>\nstruct F { int g(); };\n"),
+            ("kernel.cpp", "#include \"functor.hpp\"\nint F::g() { return k::f(); }\n"),
+            ("w.cpp", "// generated\n#include <core.hpp>\n#include \"functor.hpp\"\nint w() { return TWICE(k::f()); }\n"),
+        ]);
+        assert!(check_like_frontend(&v, "kernel.cpp", "w.cpp"));
+        // The innermost header is a pristine include point too.
+        let inner = vfs(&[
+            ("core.hpp", CORE),
+            ("impl.hpp", IMPL),
+            (
+                "kernel.cpp",
+                "#include <core.hpp>\nint g() { return k::f(); }\n",
+            ),
+            ("w.cpp", "#include <impl.hpp>\nint w() { return 0; }\n"),
+        ]);
+        assert!(check_like_frontend(&inner, "kernel.cpp", "w.cpp"));
+    }
+
+    #[test]
+    fn a_changed_context_or_closure_falls_back_to_a_full_check() {
+        let files = [
+            ("core.hpp", CORE),
+            ("impl.hpp", IMPL),
+            (
+                "kernel.cpp",
+                "#include <core.hpp>\nint g() { return k::f(); }\n",
+            ),
+        ];
+        // A define, or a token, before the header in the checked TU.
+        for w in [
+            "#define X 1\n#include <core.hpp>\n",
+            "int before;\n#include <core.hpp>\n",
+        ] {
+            let mut v = vfs(&files);
+            v.add_file("w.cpp", w);
+            assert!(!check_like_frontend(&v, "kernel.cpp", "w.cpp"), "{w}");
+        }
+        // A file the header's closure includes is already `#pragma once`
+        // where the checked TU includes the header.
+        let v = vfs(&[
+            ("empty.hpp", "#pragma once\n"),
+            (
+                "core.hpp",
+                "#pragma once\n#define C 1\n#include <empty.hpp>\nint c;\n",
+            ),
+            ("kernel.cpp", "#include <core.hpp>\nint g;\n"),
+            (
+                "w.cpp",
+                "#include <empty.hpp>\n#include <core.hpp>\nint w;\n",
+            ),
+        ]);
+        assert!(!check_like_frontend(&v, "kernel.cpp", "w.cpp"));
+        // An include in the header's closure that would now resolve to a
+        // different file.
+        let mut v = vfs(&[
+            ("core.hpp", "#pragma once\n#include \"impl.hpp\"\n"),
+            ("sys/impl.hpp", IMPL),
+            ("kernel.cpp", "#include <core.hpp>\nint g();\n"),
+        ]);
+        v.add_search_path("sys");
+        let (_, _, includes) = parse_recording(&v, &[], "kernel.cpp").unwrap();
+        v.add_file("impl.hpp", "int shadow;\n");
+        v.add_file("w.cpp", "#include <core.hpp>\n");
+        assert!(!check(&v, &[], "w.cpp", &includes).unwrap().1);
+        // Other predefined macros.
+        let v = vfs(&[
+            ("w.cpp", "#include <core.hpp>\n"),
+            files[0],
+            files[1],
+            files[2],
+        ]);
+        let (_, _, includes) = parse_recording(&v, &[], "kernel.cpp").unwrap();
+        let defines = [("X".to_string(), "1".to_string())];
+        assert!(!check(&v, &defines, "w.cpp", &includes).unwrap().1);
+        assert!(check(&v, &[], "w.cpp", &includes).unwrap().1);
+    }
+
+    #[test]
+    fn no_snapshot_is_taken_where_the_context_is_not_pristine() {
+        let recorded = |main: &str| {
+            let v = vfs(&[("core.hpp", CORE), ("impl.hpp", IMPL), ("m.cpp", main)]);
+            let (_, _, includes) = parse_recording(&v, &[], "m.cpp").unwrap();
+            includes
+                .iter()
+                .map(|s| v.path(s.pp.file).to_string())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            recorded("#include <core.hpp>\nint m;\n"),
+            ["impl.hpp", "core.hpp"]
+        );
+        assert!(recorded("#define M 1\n#include <core.hpp>\nint m;\n").is_empty());
+        assert!(recorded("int m;\n#include <core.hpp>\n").is_empty());
+        // `impl.hpp` was marked before `core.hpp` tried to include it.
+        assert_eq!(
+            recorded("#include <impl.hpp>\n#include <core.hpp>\nint m;\n"),
+            ["impl.hpp"]
+        );
+        // A header that ends mid-declaration is no clean boundary.
+        let v = vfs(&[
+            ("open.hpp", "namespace n {\n"),
+            ("m.cpp", "#include \"open.hpp\"\n}\n"),
+        ]);
+        assert!(parse_recording(&v, &[], "m.cpp").unwrap().2.is_empty());
+    }
 }

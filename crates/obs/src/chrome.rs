@@ -43,6 +43,21 @@ fn number(v: f64) -> String {
     }
 }
 
+/// `v` rounded to the trace's 0.1 µs grid, in tenths (0 when not finite).
+fn tenths(v: f64) -> i64 {
+    if v.is_finite() {
+        (v * 10.0).round() as i64
+    } else {
+        0
+    }
+}
+
+/// Renders a count of tenths as a decimal number.
+fn from_tenths(t: i64) -> String {
+    let sign = if t < 0 { "-" } else { "" };
+    format!("{sign}{}.{}", t.unsigned_abs() / 10, t.unsigned_abs() % 10)
+}
+
 fn args_object(args: &[(String, ArgValue)]) -> String {
     let mut out = String::from("{");
     for (i, (k, v)) in args.iter().enumerate() {
@@ -66,12 +81,15 @@ pub fn event_json(e: &Event) -> String {
         escape_json(&e.name),
         escape_json(&e.cat),
         e.ph.code(),
-        number(e.ts_us),
+        from_tenths(tenths(e.ts_us)),
         e.pid,
         e.tid,
     );
     if e.ph == crate::event::Phase::Complete {
-        let _ = write!(out, ", \"dur\": {}", number(e.dur_us));
+        // The rounded end minus the rounded start, so rounding preserves
+        // nesting: a span that ends inside another still does.
+        let dur = tenths(e.ts_us + e.dur_us) - tenths(e.ts_us);
+        let _ = write!(out, ", \"dur\": {}", from_tenths(dur));
     }
     if e.ph == crate::event::Phase::Instant {
         out.push_str(", \"s\": \"t\"");

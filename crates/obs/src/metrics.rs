@@ -53,6 +53,12 @@ pub mod names {
     pub const CACHE_PREAMBLE_HITS: &str = "cache.preamble.hits";
     /// Parse-cache misses with no valid preamble snapshot, parsed in full.
     pub const CACHE_PREAMBLE_MISSES: &str = "cache.preamble.misses";
+    /// Parse-cache check misses served from an include snapshot: the
+    /// snapshot's header was neither preprocessed nor parsed again.
+    pub const CACHE_INCLUDE_SNAPSHOT_HITS: &str = "cache.include_snapshot.hits";
+    /// Parse-cache check misses no include snapshot applied to, checked
+    /// in full.
+    pub const CACHE_INCLUDE_SNAPSHOT_MISSES: &str = "cache.include_snapshot.misses";
     /// Session reruns executed (`Session::rerun`).
     pub const SESSION_RERUNS: &str = "session.reruns";
     /// Translation units actually re-parsed by session reruns (parse-stage
@@ -183,6 +189,8 @@ pub mod names {
             CACHE_BYTES_RESIDENT,
             CACHE_PREAMBLE_HITS,
             CACHE_PREAMBLE_MISSES,
+            CACHE_INCLUDE_SNAPSHOT_HITS,
+            CACHE_INCLUDE_SNAPSHOT_MISSES,
             SESSION_RERUNS,
             SESSION_TUS_REPARSED,
             SIM_ITERATIONS,

@@ -89,7 +89,11 @@ impl Profiler {
     }
 
     fn now_us(&self) -> f64 {
-        self.inner.epoch.elapsed().as_secs_f64() * 1e6
+        self.us_since_epoch(Instant::now())
+    }
+
+    fn us_since_epoch(&self, at: Instant) -> f64 {
+        at.saturating_duration_since(self.inner.epoch).as_secs_f64() * 1e6
     }
 
     fn push(&self, event: Event) {
@@ -108,7 +112,9 @@ impl Profiler {
             // Skip the allocation when nothing will be recorded.
             name: self.is_enabled().then(|| name.to_string()),
             cat,
-            ts_us: self.now_us(),
+            // One clock read: the recorded `ts` and the measured duration
+            // start at the same instant, so a span opened inside another
+            // can never appear to start before it.
             start: Instant::now(),
             done: false,
         }
@@ -204,12 +210,12 @@ impl Profiler {
         out
     }
 
-    fn record_span(&self, name: String, cat: &'static str, ts_us: f64, dur: Duration) {
+    fn record_span(&self, name: String, cat: &'static str, start: Instant, dur: Duration) {
         self.push(Event {
             name,
             cat: cat.to_string(),
             ph: Phase::Complete,
-            ts_us,
+            ts_us: self.us_since_epoch(start),
             dur_us: dur.as_secs_f64() * 1e6,
             pid: self.inner.pid.load(Ordering::Relaxed),
             tid: current_tid(),
@@ -248,7 +254,6 @@ pub struct Span {
     profiler: Profiler,
     name: Option<String>,
     cat: &'static str,
-    ts_us: f64,
     start: Instant,
     done: bool,
 }
@@ -273,7 +278,7 @@ impl Span {
         }
         self.done = true;
         if let Some(name) = self.name.take() {
-            self.profiler.record_span(name, self.cat, self.ts_us, dur);
+            self.profiler.record_span(name, self.cat, self.start, dur);
         }
     }
 }

@@ -62,6 +62,51 @@ fn span_nesting_and_ordering_round_trip() {
     assert!(parse_e <= ana_s, "analyze starts after parse closes");
 }
 
+/// Nesting survives serialization for every one of ~2,000 nested span
+/// pairs: on the trace's 0.1 µs grid a child starts no earlier and ends
+/// no later than its parent. Spans opened and closed back to back sit
+/// within a few ticks of each other, where two clock reads per span or
+/// separately rounded `ts` and `dur` would break the relation.
+#[test]
+fn nesting_holds_on_the_trace_grid_for_thousands_of_span_pairs() {
+    const PAIRS: usize = 2_000;
+    let p = Profiler::new();
+    p.set_enabled(true);
+    for _ in 0..PAIRS {
+        let _outer = p.span("t", "outer");
+        let _inner = p.span("t", "inner");
+    }
+    let parsed = json::parse(&p.chrome_trace()).expect("valid JSON");
+    let events = parsed.as_array().expect("array");
+    assert_eq!(events.len(), 2 * PAIRS);
+    // Exact comparison in integer tenths of a µs.
+    let tenths = |i: usize, f: &str| (field(&parsed, i, f).as_f64().unwrap() * 10.0).round() as i64;
+    for pair in 0..PAIRS {
+        let (inner, outer) = (2 * pair, 2 * pair + 1);
+        assert_eq!(field(&parsed, inner, "name").as_str(), Some("inner"));
+        let (is, ie) = (
+            tenths(inner, "ts"),
+            tenths(inner, "ts") + tenths(inner, "dur"),
+        );
+        let (os, oe) = (
+            tenths(outer, "ts"),
+            tenths(outer, "ts") + tenths(outer, "dur"),
+        );
+        assert!(
+            os <= is && ie <= oe,
+            "pair {pair}: inner {is}..{ie} outside outer {os}..{oe}"
+        );
+        if pair > 0 {
+            let prev_end = tenths(outer - 2, "ts") + tenths(outer - 2, "dur");
+            assert!(
+                prev_end <= os,
+                "pair {pair} starts before pair {} ends",
+                pair - 1
+            );
+        }
+    }
+}
+
 #[test]
 fn counter_events_interleave_with_spans() {
     let p = Profiler::new();

@@ -240,3 +240,270 @@ fn a_preamble_that_includes_the_main_file_falls_back_to_a_full_parse() {
         "#pragma once\n#include \"lib.hpp\"\nint body2;\n"
     ));
 }
+
+// ---- include-point snapshots: verify's wrappers TU --------------------
+
+/// A wrappers TU the way `emit` shapes it: the header first, then code.
+fn wrappers_for(header: &str, body: &str) -> String {
+    format!("// Generated wrappers.\n#include <{header}>\n{body}")
+}
+
+/// Checks `wrappers` (added to `vfs` as `w.cpp`) through `cache` from the
+/// include snapshots of `main`'s parse in `parses`, and asserts verdict
+/// and closure hash equal a fresh-cache full check and the frontend's
+/// verdict. Returns whether the check resumed from a snapshot.
+fn check_wrappers(
+    parses: &ParseCache,
+    cache: &ParseCache,
+    vfs: &Vfs,
+    main: &str,
+    wrappers: &str,
+) -> bool {
+    let defines: &[(String, String)] = &[];
+    let includes = parses.parse(vfs, defines, main).unwrap().includes;
+    let mut wrap_vfs = vfs.clone();
+    wrap_vfs.add_file("w.cpp", wrappers);
+    let resumed = cache.check(&wrap_vfs, defines, "w.cpp", &includes);
+    let full = ParseCache::new().check(&wrap_vfs, defines, "w.cpp", &[]);
+    let oracle = Frontend::new(wrap_vfs)
+        .parse_translation_unit("w.cpp")
+        .is_ok();
+    assert_eq!(resumed.is_ok(), oracle, "verdict differs from the frontend");
+    assert_eq!(full.is_ok(), oracle, "full check differs from the frontend");
+    match (resumed, full) {
+        (Ok(r), Ok(f)) => {
+            assert_eq!(r.closure_hash, f.closure_hash, "closure hashes differ");
+            r.resumed
+        }
+        _ => false,
+    }
+}
+
+/// Replays session-fuzz case `seed`; after each edit, checks a wrappers
+/// TU through a session-lived cache and through a fresh one, both from
+/// `main.cpp`'s snapshots. Returns how many checks resumed.
+fn replay_wrappers(seed: u64, edits: usize) -> usize {
+    let (mut vfs, opts, stream) = edit_stream(seed, edits);
+    let parses = ParseCache::new();
+    let verify_cache = ParseCache::new();
+    let wrappers = wrappers_for(&opts.header, "int wrapper_probe() { return 0; }\n");
+    let mut resumed = 0;
+    for step in 0..=stream.len() {
+        if step > 0 {
+            let edit = &stream[step - 1];
+            vfs.apply_edit(&edit.path, edit.text.clone()).unwrap();
+        }
+        resumed += usize::from(check_wrappers(
+            &parses,
+            &verify_cache,
+            &vfs,
+            "main.cpp",
+            &wrappers,
+        ));
+        resumed += usize::from(check_wrappers(
+            &parses,
+            &ParseCache::new(),
+            &vfs,
+            "main.cpp",
+            &wrappers,
+        ));
+    }
+    resumed
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A wrappers check from the main TU's include snapshot equals a full
+    /// check and the frontend, in verdict and closure hash, after every
+    /// body and header edit of a session-fuzz edit stream.
+    #[test]
+    fn wrappers_checks_from_snapshots_equal_full_checks_on_fuzzed_edit_streams(seed in 0u64..1_000_000) {
+        replay_wrappers(seed, 10);
+    }
+}
+
+#[test]
+fn fuzzed_wrappers_checks_do_resume() {
+    let resumed: usize = (0..6).map(|seed| replay_wrappers(seed, 10)).sum();
+    assert!(resumed > 0, "no wrappers check resumed from a snapshot");
+}
+
+const KOKKOS_IMPL: &str =
+    "#pragma once\nnamespace Kokkos { namespace Impl { struct Range { int lo; int hi; }; } }\n";
+const KOKKOS_CORE: &str = "#pragma once\n#include <Kokkos_Impl.hpp>\nnamespace Kokkos { inline int rank() { auto f = [](int v) { return v; }; return f(0); } }\n";
+
+/// Figure 3's include shape: `kernel.cpp` → `functor.hpp` (`#pragma
+/// once`) → `Kokkos_Core.hpp` → `Kokkos_Impl.hpp`.
+fn figure3(kernel: &str) -> Vfs {
+    let mut vfs = Vfs::new();
+    vfs.add_file("Kokkos_Impl.hpp", KOKKOS_IMPL);
+    vfs.add_file("Kokkos_Core.hpp", KOKKOS_CORE);
+    vfs.add_file(
+        "functor.hpp",
+        "#pragma once\n#include <Kokkos_Core.hpp>\nstruct add_y { int run(); };\n",
+    );
+    vfs.add_file("kernel.cpp", kernel);
+    vfs
+}
+
+const WRAPPERS_BODY: &str = "int rank_w() { return Kokkos::rank(); }\n";
+
+#[test]
+fn the_wrappers_tu_resumes_after_a_nested_header() {
+    let vfs = figure3("#include \"functor.hpp\"\nint add_y::run() { return Kokkos::rank(); }\n");
+    let parses = ParseCache::new();
+    let wrappers = wrappers_for("Kokkos_Core.hpp", WRAPPERS_BODY);
+    assert!(check_wrappers(
+        &parses,
+        &ParseCache::new(),
+        &vfs,
+        "kernel.cpp",
+        &wrappers
+    ));
+}
+
+#[test]
+fn a_define_before_the_header_falls_back_to_a_full_check() {
+    let vfs = figure3(
+        "#define KOKKOS_MODE 2\n#include \"functor.hpp\"\nint add_y::run() { return 0; }\n",
+    );
+    let wrappers = wrappers_for("Kokkos_Core.hpp", WRAPPERS_BODY);
+    assert!(!check_wrappers(
+        &ParseCache::new(),
+        &ParseCache::new(),
+        &vfs,
+        "kernel.cpp",
+        &wrappers
+    ));
+}
+
+#[test]
+fn tokens_before_the_header_fall_back_to_a_full_check() {
+    let vfs = figure3("int before;\n#include \"functor.hpp\"\nint add_y::run() { return 0; }\n");
+    let wrappers = wrappers_for("Kokkos_Core.hpp", WRAPPERS_BODY);
+    assert!(!check_wrappers(
+        &ParseCache::new(),
+        &ParseCache::new(),
+        &vfs,
+        "kernel.cpp",
+        &wrappers
+    ));
+}
+
+#[test]
+fn a_header_reincluding_a_pragma_once_ancestor_falls_back_to_a_full_check() {
+    // `Kokkos_Core.hpp` includes `functor.hpp`, which the main TU had
+    // already marked `#pragma once`; the wrappers TU enters it.
+    let mut vfs = figure3("#include \"functor.hpp\"\nint add_y::run() { return 0; }\n");
+    vfs.add_file(
+        "Kokkos_Core.hpp",
+        KOKKOS_CORE.replacen(
+            "#pragma once\n",
+            "#pragma once\n#include \"functor.hpp\"\n",
+            1,
+        ),
+    );
+    let wrappers = wrappers_for("Kokkos_Core.hpp", WRAPPERS_BODY);
+    assert!(!check_wrappers(
+        &ParseCache::new(),
+        &ParseCache::new(),
+        &vfs,
+        "kernel.cpp",
+        &wrappers
+    ));
+}
+
+#[test]
+fn a_header_ending_mid_declaration_falls_back_to_a_full_check() {
+    let mut vfs = figure3("#include <Kokkos_Core.hpp>\nint x;\n}\n");
+    vfs.add_file("Kokkos_Core.hpp", "namespace Kokkos {\nint open;\n");
+    let wrappers = wrappers_for("Kokkos_Core.hpp", "int w;\n}\n");
+    assert!(!check_wrappers(
+        &ParseCache::new(),
+        &ParseCache::new(),
+        &vfs,
+        "kernel.cpp",
+        &wrappers
+    ));
+}
+
+#[test]
+fn a_wrappers_syntax_error_fails_both_ways() {
+    let vfs = figure3("#include \"functor.hpp\"\nint add_y::run() { return 0; }\n");
+    let mut wrap_vfs = vfs.clone();
+    wrap_vfs.add_file("w.cpp", wrappers_for("Kokkos_Core.hpp", "int broken( {{\n"));
+    let includes = ParseCache::new()
+        .parse(&vfs, &[], "kernel.cpp")
+        .unwrap()
+        .includes;
+    assert!(!includes.is_empty());
+    assert!(ParseCache::new()
+        .check(&wrap_vfs, &[], "w.cpp", &includes)
+        .is_err());
+    assert!(ParseCache::new()
+        .check(&wrap_vfs, &[], "w.cpp", &[])
+        .is_err());
+    assert!(Frontend::new(wrap_vfs)
+        .parse_translation_unit("w.cpp")
+        .is_err());
+}
+
+#[test]
+fn a_header_edit_invalidates_the_snapshot_and_the_next_parse_records_a_new_one() {
+    let mut vfs = figure3("#include \"functor.hpp\"\nint add_y::run() { return 0; }\n");
+    let parses = ParseCache::new();
+    let verify_cache = ParseCache::new();
+    let stale = parses.parse(&vfs, &[], "kernel.cpp").unwrap().includes;
+    vfs.apply_edit("Kokkos_Impl.hpp", format!("{KOKKOS_IMPL}// header edit\n"))
+        .unwrap();
+    let mut wrap_vfs = vfs.clone();
+    let wrappers = wrappers_for("Kokkos_Core.hpp", WRAPPERS_BODY);
+    wrap_vfs.add_file("w.cpp", wrappers.as_str());
+    let old = ParseCache::new()
+        .check(&wrap_vfs, &[], "w.cpp", &stale)
+        .unwrap();
+    assert!(!old.resumed, "a snapshot of the old header must not apply");
+    assert_eq!(
+        old.closure_hash,
+        ParseCache::new()
+            .check(&wrap_vfs, &[], "w.cpp", &[])
+            .unwrap()
+            .closure_hash
+    );
+    // The main TU's reparse snapshots the edited header.
+    assert!(check_wrappers(
+        &parses,
+        &verify_cache,
+        &vfs,
+        "kernel.cpp",
+        &wrappers
+    ));
+}
+
+#[test]
+fn a_resume_keeps_the_headers_pragma_once_marks() {
+    // `once.hpp` is in the header's closure and must not be entered twice:
+    // a second entry would hit its `#error`.
+    let mut vfs = figure3("#include \"functor.hpp\"\nint add_y::run() { return 0; }\n");
+    vfs.add_file(
+        "once.hpp",
+        "#pragma once\n#ifdef ONCE_SEEN\n#error entered twice\n#endif\n",
+    );
+    vfs.add_file("once_def.hpp", "#define ONCE_SEEN\n");
+    vfs.add_file(
+        "Kokkos_Impl.hpp",
+        format!("{KOKKOS_IMPL}#include \"once.hpp\"\n#include \"once_def.hpp\"\n"),
+    );
+    let wrappers = wrappers_for(
+        "Kokkos_Core.hpp",
+        &format!("#include \"once.hpp\"\n{WRAPPERS_BODY}"),
+    );
+    assert!(check_wrappers(
+        &ParseCache::new(),
+        &ParseCache::new(),
+        &vfs,
+        "kernel.cpp",
+        &wrappers
+    ));
+}
